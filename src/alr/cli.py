@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -159,10 +160,8 @@ def cmd_compare(args, parser) -> int:
                     for measure in measures:
                         base = baseline.mean(measure, task, k)
                         value = curve.mean(measure, task, k)
-                        if measure == "rmse":
-                            pct = (base - value) / base * 100.0
-                        else:
-                            pct = (value - base) / base * 100.0
+                        gain = base - value if measure == "rmse" else value - base
+                        pct = gain / base * 100.0 if base != 0 else math.nan
                         rows.append(
                             (
                                 curve.strategy,
@@ -172,7 +171,7 @@ def cmd_compare(args, parser) -> int:
                                 k,
                                 repr(base),
                                 repr(value),
-                                round(pct),
+                                round(pct) if math.isfinite(pct) else "",
                             )
                         )
     _write_rows(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,8 +24,8 @@ import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
 from .metrics import MetricRecord, UndefinedCorrelation, group_fraction, label_std, pearson_cc, rmse
-from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
-from .strategies import PoolState, StrategySpec, select_next, strategy_to_string
+from .regression import SolverConfig, coefficient_mae, predict, resolve_lambda, solver_to_string
+from .strategies import PoolState, StrategySpec, _fit_all_tasks, select_next, strategy_to_string
 
 __all__ = [
     "ExperimentConfig",
@@ -81,10 +82,6 @@ class RunResult:
     bl2_cc: tuple[float, ...]
 
 
-def _fit_all_tasks(features: np.ndarray, labels: np.ndarray, solver: SolverConfig) -> list[LinearModel]:
-    return [fit(features, labels[:, p], solver) for p in range(labels.shape[1])]
-
-
 def _task_metrics(models, test: Dataset) -> tuple[list[float], list[float]]:
     rmse_v, cc_v = [], []
     for p, model in enumerate(models):
@@ -96,6 +93,29 @@ def _task_metrics(models, test: Dataset) -> tuple[list[float], list[float]]:
         except UndefinedCorrelation:
             cc_v.append(math.nan)
     return rmse_v, cc_v
+
+
+def _queries(
+    pool: Dataset, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seed: int
+) -> Iterator[tuple[PoolState, SolverConfig]]:
+    """The query loop: label one pool sample per step and refit every task from k0 on.
+
+    Yields (state, solver) after each refit, K = k0..k_max; solver has any
+    budget-scaled lambda resolved against k_max.
+    """
+    state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    k_max = pool.n_samples if k_max is None else k_max
+    if not state.k0 <= k_max <= pool.n_samples:
+        raise ValueError(
+            f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
+        )
+    if solver.lambda_over_k == "budget":
+        solver = resolve_lambda(solver, budget=k_max)
+    while state.n_labeled < k_max:
+        state.add(select_next(state, strategy))
+        if state.n_labeled >= state.k0:
+            state.fit_models(solver)
+            yield state, solver
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -114,27 +134,11 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     if seed is None:
         seed = cfg.seed
 
-    state = PoolState(
-        pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,))
-    )
-    k_max = pool.n_samples if cfg.k_max is None else cfg.k_max
-    if not state.k0 <= k_max <= pool.n_samples:
-        raise ValueError(
-            f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
-        )
-
-    solver = cfg.solver
-    if solver.lambda_over_k == "budget":
-        solver = resolve_lambda(solver, budget=k_max)
-    reference = _fit_all_tasks(pool.features, pool.labels, solver)
-    bl2_rmse, bl2_cc = _task_metrics(reference, test)
-
     records: list[MetricRecord] = []
-    while state.n_labeled < k_max:
-        state.add(select_next(state, cfg.strategy))
-        if state.n_labeled < state.k0:
-            continue
-        state.fit_models(solver)
+    for state, solver in _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, seed):
+        if not records:  # the reference fit needs the solver as the loop resolved it
+            reference = _fit_all_tasks(pool.features, pool.labels, solver)
+            bl2_rmse, bl2_cc = _task_metrics(reference, test)
         rmse_v, cc_v = _task_metrics(state.models, test)
         mae_v = [coefficient_mae(m, ref) for m, ref in zip(state.models, reference)]
         if state.n_labeled >= 2:
@@ -171,19 +175,9 @@ def selection_sequence(
     k_max: int | None = None,
     seed: int = 0,
 ) -> list[int]:
-    """The ordered query sequence a strategy produces on a fixed pool."""
-    state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    k_max = pool.n_samples if k_max is None else k_max
-    if not state.k0 <= k_max <= pool.n_samples:
-        raise ValueError(
-            f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
-        )
-    if solver.lambda_over_k == "budget":
-        solver = resolve_lambda(solver, budget=k_max)
-    while state.n_labeled < k_max:
-        state.add(select_next(state, strategy))
-        if state.n_labeled >= state.k0 and state.n_labeled < k_max:
-            state.fit_models(solver)
+    """The ordered query sequence a strategy produces on a fixed pool (run_single's loop)."""
+    for state, _ in _queries(pool, strategy, solver, k_max, seed):
+        pass
     return list(state.labeled)
 
 

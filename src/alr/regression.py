@@ -30,8 +30,6 @@ __all__ = [
     "resolve_lambda",
     "parse_solver",
     "solver_to_string",
-    "model_to_json_dict",
-    "model_from_json_dict",
 ]
 
 SOLVER_KINDS = ("ols", "ridge", "lasso", "elastic_net")
@@ -233,31 +231,6 @@ def coefficient_mae(a: LinearModel, b: LinearModel) -> float:
             f"coefficient dimensions differ: {a.n_features} vs {b.n_features}"
         )
     return float(np.mean(np.abs(a.coefficients - b.coefficients)))
-
-
-def model_to_json_dict(model: LinearModel) -> dict:
-    return {
-        "coefficients": [float(c) for c in model.coefficients],
-        "intercept": float(model.intercept),
-        "solver": {
-            "kind": model.solver.kind,
-            "lam": model.solver.lam,
-            "lam2": model.solver.lam2,
-            "lambda_over_k": model.solver.lambda_over_k,
-            "cd_tolerance": model.solver.cd_tolerance,
-            "cd_max_iters": model.solver.cd_max_iters,
-        },
-        "converged": model.converged,
-    }
-
-
-def model_from_json_dict(payload: dict) -> LinearModel:
-    return LinearModel(
-        coefficients=payload["coefficients"],
-        intercept=payload["intercept"],
-        solver=SolverConfig(**payload["solver"]),
-        converged=payload.get("converged", True),
-    )
 
 
 _SOLVER_DEFAULTS = {

@@ -1,16 +1,22 @@
 """Pool-based sample-selection rules over a labeled/unlabeled ledger.
 
-Eight selection rules operate on a :class:`PoolState`:
+Eight selection rules operate on a :class:`PoolState`. The five greedy rules
+pick the unlabeled candidate n that maximizes one score, with D_x the
+Euclidean input distance and f_t the fitted model of task t:
+
+    score(n) = min over labeled m of  D_x(n, m)^a * prod_{t in T} |f_t(x_n) - y_{m,t}|
+
+    kind    gsx  gsy           igs           mt_gsy     mt_igs
+    a       1    0             1             0          1
+    T       {}   {focus task}  {focus task}  all tasks  all tasks
+
+gsx is the input-space sampler of Yu & Kim, "Passive Sampling for
+Regression" (ICDM 2010); gsy samples one task's output space; igs balances
+diversity in both. The product is taken per labeled sample before the min,
+so rescaling one task rescales every score alike and no task dominates. The
+other three rules are:
 
 * `random` -- uniform draw from the unlabeled set.
-* `gsx` -- greedy sampling in the input space: pick the candidate whose
-  nearest labeled sample is farthest away (Euclidean distance).
-* `gsy` -- greedy sampling in one task's output space: pick the candidate
-  whose predicted output is farthest from every labeled output.
-* `igs` -- input and output distances multiplied per labeled sample before
-  taking the min, balancing diversity in both spaces.
-* `mt_gsy` / `mt_igs` -- multi-task variants combining per-task output
-  distances by product, so no task's scale dominates the others.
 * `qbc` -- maximum prediction variance across a bootstrap committee.
 * `emcm` -- maximum expected model change, estimated from bootstrap
   disagreement times the candidate's feature vector.
@@ -124,6 +130,11 @@ def strategy_to_string(spec: StrategySpec) -> str:
     return spec.kind + (":" + ",".join(parts) if parts else "")
 
 
+def _fit_all_tasks(features: np.ndarray, labels: np.ndarray, solver: SolverConfig) -> list[LinearModel]:
+    """One model per label column, all fitted on the same rows."""
+    return [fit(features, labels[:, p], solver) for p in range(labels.shape[1])]
+
+
 class PoolState:
     """The active-learning ledger for one experiment run.
 
@@ -172,11 +183,8 @@ class PoolState:
                 f"need at least k0={self.k0} labeled samples to fit models, "
                 f"have {self.n_labeled}"
             )
-        X = self.pool.features[self.labeled]
-        self.models = [
-            fit(X, self.pool.labels[self.labeled, p], solver)
-            for p in range(self.pool.n_tasks)
-        ]
+        rows = self.labeled
+        self.models = _fit_all_tasks(self.pool.features[rows], self.pool.labels[rows], solver)
         self._models_k = self.n_labeled
 
     def set_models(self, models) -> None:
@@ -214,9 +222,22 @@ def select_initial_centroid(state: PoolState) -> int:
     return int(np.argmin(dists))
 
 
-def _min_input_distances(state: PoolState, unlabeled: np.ndarray) -> np.ndarray:
-    pairwise = cdist(state.pool.features[unlabeled], state.pool.features[state.labeled])
-    return pairwise.min(axis=1)
+def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tasks) -> np.ndarray:
+    """The greedy score of each candidate, as in the module docstring.
+
+    The task gaps multiply left to right, then the input distance; the
+    floating-point scores depend on that order.
+    """
+    candidates = state.pool.features[unlabeled]
+    scores = None
+    for t in tasks:
+        preds = predict(state._require_models()[t], candidates)
+        gaps = np.abs(preds[:, None] - state.pool.labels[state.labeled, t][None, :])
+        scores = gaps if scores is None else np.multiply(scores, gaps, out=scores)
+    if use_input:
+        pairwise = cdist(candidates, state.pool.features[state.labeled])
+        scores = pairwise if scores is None else np.multiply(pairwise, scores, out=pairwise)
+    return scores.min(axis=1)
 
 
 def gs_input_step(state: PoolState) -> int:
@@ -224,64 +245,31 @@ def gs_input_step(state: PoolState) -> int:
     if state.n_labeled < 1:
         raise ValueError("input-space greedy step needs at least one labeled sample")
     unlabeled = _check_has_unlabeled(state)
-    scores = _min_input_distances(state, unlabeled)
-    return int(unlabeled[np.argmax(scores)])
-
-
-def _output_gaps(state: PoolState, unlabeled: np.ndarray, task: int) -> np.ndarray:
-    """``|prediction(candidate) - labeled output|`` for one task, candidates x labeled."""
-    models = state._require_models()
-    preds = predict(models[task], state.pool.features[unlabeled])
-    labeled_y = state.pool.labels[state.labeled, task]
-    return np.abs(preds[:, None] - labeled_y[None, :])
-
-
-def _output_gap_products(state: PoolState, unlabeled: np.ndarray) -> np.ndarray:
-    """Across-task product of output gaps, candidates x labeled."""
-    prod = np.ones((unlabeled.size, state.n_labeled))
-    for p in range(state.pool.n_tasks):
-        prod *= _output_gaps(state, unlabeled, p)
-    return prod
+    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, ()))])
 
 
 def gsy_step(state: PoolState, task: int) -> int:
     """Pick the candidate whose predicted output is farthest from all labeled outputs."""
     unlabeled = _check_has_unlabeled(state)
-    scores = _output_gaps(state, unlabeled, task).min(axis=1)
-    return int(unlabeled[np.argmax(scores)])
+    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, False, (task,)))])
 
 
 def mtgsy_step(state: PoolState) -> int:
-    """Multi-task output-space greedy step.
-
-    Per labeled sample, the output gaps of all tasks are combined by product
-    (so rescaling one task cannot dominate), and the min over labeled samples
-    of that product is maximized. Note the min applies to the per-sample
-    product, not the other way around.
-    """
+    """Multi-task output-space greedy step: the min over labeled samples of their gap products."""
     unlabeled = _check_has_unlabeled(state)
-    scores = _output_gap_products(state, unlabeled).min(axis=1)
-    return int(unlabeled[np.argmax(scores)])
+    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, False, range(state.pool.n_tasks)))])
 
 
 def igs_step(state: PoolState, task: int) -> int:
-    """Input-distance times output-gap greedy step for one task.
-
-    The product is taken per labeled sample before the min, so a candidate
-    scores low if any labeled sample is close in input and output jointly.
-    """
+    """Input-distance times output-gap greedy step for one task, multiplied per labeled sample."""
     unlabeled = _check_has_unlabeled(state)
-    pairwise = cdist(state.pool.features[unlabeled], state.pool.features[state.labeled])
-    scores = (pairwise * _output_gaps(state, unlabeled, task)).min(axis=1)
-    return int(unlabeled[np.argmax(scores)])
+    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, (task,)))])
 
 
 def mtigs_step(state: PoolState) -> int:
     """Multi-task variant of :func:`igs_step`: input distance times the across-task gap product."""
     unlabeled = _check_has_unlabeled(state)
-    pairwise = cdist(state.pool.features[unlabeled], state.pool.features[state.labeled])
-    scores = (pairwise * _output_gap_products(state, unlabeled)).min(axis=1)
-    return int(unlabeled[np.argmax(scores)])
+    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, range(state.pool.n_tasks)))])
 
 
 def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -359,21 +347,18 @@ def _resolve_focus_task(spec: StrategySpec, n_tasks: int) -> int:
 
 def select_next(state: PoolState, spec: StrategySpec) -> int:
     """Dispatch one query according to the strategy's phase logic."""
-    _check_has_unlabeled(state)
+    unlabeled = _check_has_unlabeled(state)
     k = state.n_labeled
     if spec.kind in GS_FAMILY:
         if k == 0:
             return select_initial_centroid(state)
         if k < state.k0 or spec.kind == "gsx":
-            return gs_input_step(state)
-        if spec.kind == "mt_gsy":
-            return mtgsy_step(state)
-        if spec.kind == "mt_igs":
-            return mtigs_step(state)
-        task = _resolve_focus_task(spec, state.pool.n_tasks)
-        if spec.kind == "gsy":
-            return gsy_step(state, task)
-        return igs_step(state, task)
+            use_input, tasks = True, ()
+        elif spec.kind in ("mt_gsy", "mt_igs"):
+            use_input, tasks = spec.kind == "mt_igs", range(state.pool.n_tasks)
+        else:
+            use_input, tasks = spec.kind == "igs", (_resolve_focus_task(spec, state.pool.n_tasks),)
+        return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, use_input, tasks))])
 
     if spec.kind == "random" or k < state.k0:
         return random_step(state)

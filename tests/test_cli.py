@@ -169,6 +169,28 @@ class TestCompare:
         assert code == 0
         assert all(r["improvement_pct"] == "0" for r in _rows(out))
 
+    @pytest.mark.parametrize("base", ["0.0", "nan"])
+    def test_undefined_improvement_left_blank(self, tmp_path, capsys, base):
+        baseline = tmp_path / "bl1.csv"
+        candidate = tmp_path / "gsx.csv"
+        baseline.write_text(
+            "strategy,solver,task,K,metric,mean,std,n_runs\n"
+            f"random,ridge:lambda=10/k,v,50,rmse,{base},0.0,100\n"
+            "random,ridge:lambda=10/k,v,50,bl2_rmse,0.2,0.0,100\n",
+            encoding="utf-8",
+        )
+        _write_curve_csv(candidate, "gsx", {"rmse": {50: 0.3}}, {"bl2_rmse": 0.2})
+        out = tmp_path / "table.csv"
+        code = main(
+            ["compare", "--baseline", str(baseline), "--curves", str(candidate),
+             "--k", "50", "--measure", "rmse", "--out", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        (row,) = _rows(out)
+        assert row["baseline"] == repr(float(base))
+        assert row["improvement_pct"] == ""
+
     def test_k_off_axis_exits_1(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"
         _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})

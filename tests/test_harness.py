@@ -19,9 +19,10 @@ from alr.harness import (
     write_curves_json,
 )
 from alr.regression import SolverConfig, parse_solver
-from alr.strategies import parse_strategy
+from alr.strategies import SINGLE_TASK_KINDS, parse_strategy
 
 RIDGE_10_K = parse_solver("ridge")
+RIDGE_10_KMAX = parse_solver("ridge:lambda=10/kmax")
 ALL_KINDS = ("random", "gsx", "gsy", "igs", "mt_gsy", "mt_igs", "qbc", "emcm")
 
 
@@ -227,6 +228,19 @@ class TestSavedQueries:
         ref = self._curve("random", ks, {"y": [1.0, 0.4]}, {"y": 0.7})
         with pytest.raises(ValueError, match="reference"):
             saved_queries(a, ref, alpha=5)
+
+
+class TestSharedQueryLoop:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("seed", (3, 11))
+    @pytest.mark.parametrize("k_max", (None, 8))
+    def test_run_single_selection_matches_selection_sequence(self, kind, seed, k_max):
+        pool, test = _split_synthetic(seed=seed)
+        strategy = f"{kind}:task=0" if kind in SINGLE_TASK_KINDS else kind
+        cfg = _cfg(strategy=strategy, solver=RIDGE_10_KMAX, k_max=k_max)
+        result = run_single(pool, test, cfg, seed=seed)
+        expected = selection_sequence(pool, cfg.strategy, cfg.solver, k_max=k_max, seed=seed)
+        assert result.selection == tuple(expected)
 
 
 class TestUniqueQueries:

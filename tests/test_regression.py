@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,8 +8,6 @@ from alr.regression import (
     SolverConfig,
     coefficient_mae,
     fit,
-    model_from_json_dict,
-    model_to_json_dict,
     parse_solver,
     predict,
     resolve_lambda,
@@ -232,18 +229,6 @@ class TestValidation:
             SolverConfig("ridge", lam=-1.0)
         with pytest.raises(ValueError):
             SolverConfig("lasso", cd_tolerance=0.0)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        model = fit(*_random_problem(4), SolverConfig("elastic_net", lam=0.01, lam2=0.02))
-        payload = model_to_json_dict(model)
-        text = json.dumps(payload)
-        back = model_from_json_dict(json.loads(text))
-        assert np.array_equal(back.coefficients, model.coefficients)
-        assert back.intercept == model.intercept
-        assert back.solver == model.solver
-        assert back.converged == model.converged
 
 
 class TestSolverGrammar:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import bruteforce
@@ -391,6 +393,29 @@ class TestRandomStep:
         draws = np.array([random_step(state) for _ in range(100_000)])
         counts = np.bincount(draws, minlength=10)
         assert stats.chisquare(counts).pvalue > 0.001
+
+
+class TestPermutationEquivariance:
+    """Relabeling pool rows relabels a greedy selection and changes nothing else."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(("gsx", "gsy", "igs", "mt_gsy", "mt_igs")),
+        # d >= 2: a one-row fit predicts a constant, so every output gap would tie
+        shape=st.tuples(st.integers(4, 16), st.integers(2, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_greedy_selection_follows_row_permutation(self, kind, shape, seed, data):
+        n, d, p = shape
+        rng = np.random.default_rng(seed)
+        features, labels = rng.standard_normal((n, d)), rng.standard_normal((n, p))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        spec = StrategySpec(kind, focus_task=0 if kind in ("gsy", "igs") else None)
+        original = selection_sequence(make_pool(features, labels), spec, RIDGE)
+        permuted = selection_sequence(make_pool(features[perm], labels[perm]), spec, RIDGE)
+        # row j of the permuted pool is row perm[j] of the original
+        assert [int(perm[j]) for j in permuted] == original
 
 
 class TestSelectNext:
