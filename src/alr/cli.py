@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -90,8 +91,7 @@ def cmd_run(args, parser) -> int:
                     f"--focus-task is required for strategy '{text}' on a "
                     f"{data.n_tasks}-task dataset"
                 )
-            spec = parse_strategy(f"{text}:task={args.focus_task}" if ":" not in text
-                                  else f"{text},task={args.focus_task}")
+            spec = dataclasses.replace(spec, focus_task=args.focus_task)
         specs.append(spec)
 
     curves = []

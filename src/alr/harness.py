@@ -206,10 +206,13 @@ class LearningCurve:
     config: dict = field(default_factory=dict)
 
     def cell(self, metric: str, task: str, k: int) -> CurveCell:
-        return self.cells[(metric, task, k)]
+        try:
+            return self.cells[(metric, task, k)]
+        except KeyError:
+            raise ValueError(f"{self.strategy}: no {metric} value for task '{task}' at K={k}") from None
 
     def mean(self, metric: str, task: str, k: int) -> float:
-        return self.cells[(metric, task, k)].mean
+        return self.cell(metric, task, k).mean
 
     def has(self, metric: str, task: str, k: int) -> bool:
         return (metric, task, k) in self.cells

@@ -13,19 +13,24 @@ Euclidean input distance and f_t the fitted model of task t:
 gsx is the input-space sampler of Yu & Kim, "Passive Sampling for
 Regression" (ICDM 2010); gsy samples one task's output space; igs balances
 diversity in both. The product is taken per labeled sample before the min,
-so rescaling one task rescales every score alike and no task dominates. The
-other three rules are:
+so rescaling one task rescales every score alike and no task dominates.
 
-* `random` -- uniform draw from the unlabeled set.
-* `qbc` -- maximum prediction variance across a bootstrap committee.
-* `emcm` -- maximum expected model change, estimated from bootstrap
-  disagreement times the candidate's feature vector.
+The committee rules score the focus task t with B bootstrap refits f_b of
+its model (B = committee_size):
 
-:func:`select_next` applies the shared phase logic: the first pick is the
-sample closest to the feature centroid (greedy kinds) or a random draw
-(random/qbc/emcm); picks before the k0 threshold use input-space greedy
-sampling or random draws respectively; from k0 onward each rule applies its
-own criterion. Ties always break toward the smallest pool index.
+    qbc     score(n) = var_b f_b(x_n)
+    emcm    score(n) = mean_b |f_t(x_n) - f_b(x_n)| * ||x_n||
+
+emcm is the expected model change of Cai, Zhang & Zhou (ICDM 2013), with
+the bootstrap predictions standing in for the unknown label. `random`
+draws uniformly from the unlabeled set.
+
+:func:`select_next` is the only entry point; it applies the shared phase
+logic: the first pick is the sample closest to the feature centroid (greedy
+kinds) or a random draw (random/qbc/emcm); picks before the k0 threshold
+use input-space greedy sampling or random draws respectively; from k0
+onward each rule applies its own criterion. Ties always break toward the
+smallest pool index.
 """
 
 from __future__ import annotations
@@ -47,15 +52,6 @@ __all__ = [
     "k0_default",
     "parse_strategy",
     "strategy_to_string",
-    "select_initial_centroid",
-    "gs_input_step",
-    "gsy_step",
-    "mtgsy_step",
-    "igs_step",
-    "mtigs_step",
-    "qbc_step",
-    "emcm_step",
-    "random_step",
     "select_next",
 ]
 
@@ -158,10 +154,6 @@ class PoolState:
     def n_labeled(self) -> int:
         return len(self.labeled)
 
-    @property
-    def n_unlabeled(self) -> int:
-        return self.pool.n_samples - len(self.labeled)
-
     def unlabeled_indices(self) -> np.ndarray:
         """Unlabeled pool indices in ascending order."""
         return np.flatnonzero(~self._is_labeled)
@@ -205,23 +197,6 @@ class PoolState:
         return self.models
 
 
-def _check_has_unlabeled(state: PoolState) -> np.ndarray:
-    unlabeled = state.unlabeled_indices()
-    if unlabeled.size == 0:
-        raise ValueError("no unlabeled samples left")
-    return unlabeled
-
-
-def select_initial_centroid(state: PoolState) -> int:
-    """First pick: the pool sample nearest the feature centroid."""
-    if state.n_labeled != 0:
-        raise ValueError("initial selection requires an empty labeled set")
-    feats = state.pool.features
-    centroid = feats.mean(axis=0)
-    dists = np.linalg.norm(feats - centroid, axis=1)
-    return int(np.argmin(dists))
-
-
 def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tasks) -> np.ndarray:
     """The greedy score of each candidate, as in the module docstring.
 
@@ -240,38 +215,6 @@ def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tas
     return scores.min(axis=1)
 
 
-def gs_input_step(state: PoolState) -> int:
-    """Pick the candidate whose nearest labeled sample is farthest (input space)."""
-    if state.n_labeled < 1:
-        raise ValueError("input-space greedy step needs at least one labeled sample")
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, ()))])
-
-
-def gsy_step(state: PoolState, task: int) -> int:
-    """Pick the candidate whose predicted output is farthest from all labeled outputs."""
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, False, (task,)))])
-
-
-def mtgsy_step(state: PoolState) -> int:
-    """Multi-task output-space greedy step: the min over labeled samples of their gap products."""
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, False, range(state.pool.n_tasks)))])
-
-
-def igs_step(state: PoolState, task: int) -> int:
-    """Input-distance times output-gap greedy step for one task, multiplied per labeled sample."""
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, (task,)))])
-
-
-def mtigs_step(state: PoolState) -> int:
-    """Multi-task variant of :func:`igs_step`: input distance times the across-task gap product."""
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, True, range(state.pool.n_tasks)))])
-
-
 def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
     # redraw until the resample holds at least 2 distinct rows
     while True:
@@ -280,56 +223,26 @@ def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
             return idx
 
 
-def _bootstrap_predictions(
-    state: PoolState, unlabeled: np.ndarray, task: int, committee_size: int
-) -> np.ndarray:
-    """Committee predictions on the candidates, one row per bootstrap model.
+def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpec, task: int) -> np.ndarray:
+    """The qbc or emcm score of each candidate, as in the module docstring.
 
-    Committee members reuse the solver configuration of the fitted main model.
+    Committee members are bootstrap refits that reuse the solver
+    configuration of the fitted main model.
     """
     if state.n_labeled < 2:
         raise ValueError("labeled set too small to bootstrap (need >= 2 samples)")
-    solver = state._require_models()[task].solver
+    main = state._require_models()[task]
     X = state.pool.features[state.labeled]
     y = state.pool.labels[state.labeled, task]
     candidates = state.pool.features[unlabeled]
-    preds = np.empty((committee_size, unlabeled.size))
-    for b in range(committee_size):
+    boot = np.empty((spec.committee_size, unlabeled.size))
+    for b in range(spec.committee_size):
         idx = _bootstrap_indices(state.rng, state.n_labeled)
-        member = fit(X[idx], y[idx], solver)
-        preds[b] = predict(member, candidates)
-    return preds
-
-
-def qbc_step(state: PoolState, task: int, committee_size: int = 4) -> int:
-    """Pick the candidate with maximum prediction variance across a bootstrap committee."""
-    unlabeled = _check_has_unlabeled(state)
-    preds = _bootstrap_predictions(state, unlabeled, task, committee_size)
-    scores = preds.var(axis=0)
-    return int(unlabeled[np.argmax(scores)])
-
-
-def emcm_step(state: PoolState, task: int, committee_size: int = 4) -> int:
-    """Pick the candidate with maximum expected model change.
-
-    The change for candidate x is the average over bootstrap models of
-    ``||(f(x) - f_b(x)) * x||``, a gradient-of-squared-loss surrogate with
-    bootstrap predictions standing in for the unknown label.
-    """
-    unlabeled = _check_has_unlabeled(state)
-    main = state._require_models()[task]
-    candidates = state.pool.features[unlabeled]
-    main_preds = predict(main, candidates)
-    boot = _bootstrap_predictions(state, unlabeled, task, committee_size)
-    mean_gap = np.abs(main_preds[None, :] - boot).mean(axis=0)
-    scores = mean_gap * np.linalg.norm(candidates, axis=1)
-    return int(unlabeled[np.argmax(scores)])
-
-
-def random_step(state: PoolState) -> int:
-    """Uniform draw from the unlabeled set via the state's random stream."""
-    unlabeled = _check_has_unlabeled(state)
-    return int(unlabeled[state.rng.integers(unlabeled.size)])
+        boot[b] = predict(fit(X[idx], y[idx], main.solver), candidates)
+    if spec.kind == "qbc":
+        return boot.var(axis=0)
+    mean_gap = np.abs(predict(main, candidates)[None, :] - boot).mean(axis=0)
+    return mean_gap * np.linalg.norm(candidates, axis=1)
 
 
 def _resolve_focus_task(spec: StrategySpec, n_tasks: int) -> int:
@@ -346,23 +259,24 @@ def _resolve_focus_task(spec: StrategySpec, n_tasks: int) -> int:
 
 
 def select_next(state: PoolState, spec: StrategySpec) -> int:
-    """Dispatch one query according to the strategy's phase logic."""
-    unlabeled = _check_has_unlabeled(state)
+    """Pick the next pool index to label, by the phase logic of the module docstring."""
+    unlabeled = state.unlabeled_indices()
+    if unlabeled.size == 0:
+        raise ValueError("no unlabeled samples left")
     k = state.n_labeled
     if spec.kind in GS_FAMILY:
         if k == 0:
-            return select_initial_centroid(state)
+            feats = state.pool.features
+            return int(np.argmin(np.linalg.norm(feats - feats.mean(axis=0), axis=1)))
         if k < state.k0 or spec.kind == "gsx":
             use_input, tasks = True, ()
         elif spec.kind in ("mt_gsy", "mt_igs"):
             use_input, tasks = spec.kind == "mt_igs", range(state.pool.n_tasks)
         else:
             use_input, tasks = spec.kind == "igs", (_resolve_focus_task(spec, state.pool.n_tasks),)
-        return int(unlabeled[np.argmax(_greedy_scores(state, unlabeled, use_input, tasks))])
-
-    if spec.kind == "random" or k < state.k0:
-        return random_step(state)
-    task = _resolve_focus_task(spec, state.pool.n_tasks)
-    if spec.kind == "qbc":
-        return qbc_step(state, task, spec.committee_size)
-    return emcm_step(state, task, spec.committee_size)
+        scores = _greedy_scores(state, unlabeled, use_input, tasks)
+    elif spec.kind == "random" or k < state.k0:
+        return int(unlabeled[state.rng.integers(unlabeled.size)])
+    else:
+        scores = _committee_scores(state, unlabeled, spec, _resolve_focus_task(spec, state.pool.n_tasks))
+    return int(unlabeled[np.argmax(scores)])

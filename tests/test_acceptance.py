@@ -19,15 +19,7 @@ from alr.cli import main
 from alr.dataset import Dataset, SplitConfig, gen_synthetic, load_csv, normalize_features, split_train_test
 from alr.harness import ExperimentConfig, run_experiment, run_single, selection_sequence, unique_query_count
 from alr.regression import SolverConfig, fit, parse_solver
-from alr.strategies import (
-    StrategySpec,
-    gs_input_step,
-    gsy_step,
-    igs_step,
-    mtgsy_step,
-    mtigs_step,
-    parse_strategy,
-)
+from alr.strategies import StrategySpec, parse_strategy, select_next
 
 RIDGE_10_K = parse_solver("ridge")
 RIDGE_FIXED = SolverConfig("ridge", lam=1.0)
@@ -48,17 +40,19 @@ def test_c1_greedy_oracle_equivalence():
         models = oracle_models(state)
         task = int(rng.integers(state.pool.n_tasks))
 
-        assert gs_input_step(state) == bruteforce.gs_input_choice(features, labeled, unlabeled)
-        assert gsy_step(state, task) == bruteforce.gsy_choice(
+        assert select_next(state, StrategySpec("gsx")) == bruteforce.gs_input_choice(
+            features, labeled, unlabeled
+        )
+        assert select_next(state, StrategySpec("gsy", focus_task=task)) == bruteforce.gsy_choice(
             features, labels, labeled, unlabeled, models[task], task
         )
-        assert igs_step(state, task) == bruteforce.igs_choice(
+        assert select_next(state, StrategySpec("igs", focus_task=task)) == bruteforce.igs_choice(
             features, labels, labeled, unlabeled, models[task], task
         )
-        assert mtgsy_step(state) == bruteforce.mtgsy_choice(
+        assert select_next(state, StrategySpec("mt_gsy")) == bruteforce.mtgsy_choice(
             features, labels, labeled, unlabeled, models
         )
-        assert mtigs_step(state) == bruteforce.mtigs_choice(
+        assert select_next(state, StrategySpec("mt_igs")) == bruteforce.mtigs_choice(
             features, labels, labeled, unlabeled, models
         )
     elapsed = time.perf_counter() - started

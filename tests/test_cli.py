@@ -200,6 +200,18 @@ class TestCompare:
         assert code == 1
         assert "75" in capsys.readouterr().err
 
+    def test_baseline_missing_measure_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        candidate = tmp_path / "gsx.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        _write_curve_csv(candidate, "gsx", {"rmse": {50: 0.3}, "cc": {50: 0.5}}, {"bl2_rmse": 0.2})
+        code = main(
+            ["compare", "--baseline", str(baseline), "--curves", str(candidate),
+             "--k", "50", "--measure", "both"]
+        )
+        assert code == 1
+        assert "error: random: no cc value for task 'v' at K=50" in capsys.readouterr().err
+
 
 class TestSavedQueries:
     def test_table_semantics(self, tmp_path):
@@ -240,6 +252,18 @@ class TestSavedQueries:
         assert code == 0
         row = _rows(out)[0]
         assert row["k_curve"] == "" and row["saving_pct"] == ""
+
+    def test_reference_missing_full_pool_row_exits_1(self, tmp_path, capsys):
+        reference = tmp_path / "ref.csv"
+        candidate = tmp_path / "cand.csv"
+        _write_curve_csv(reference, "random", {"rmse": {3: 0.3, 4: 0.25}}, {})
+        _write_curve_csv(candidate, "gsx", {"rmse": {3: 0.3, 4: 0.25}}, {"bl2_rmse": 0.2})
+        code = main(
+            ["saved-queries", "--curves", str(candidate), "--reference", str(reference),
+             "--alpha", "1", "--measure", "rmse"]
+        )
+        assert code == 1
+        assert "error: random: no bl2_rmse value for task 'v' at K=3" in capsys.readouterr().err
 
 
 class TestUniqueQueries:

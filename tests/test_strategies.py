@@ -11,23 +11,7 @@ from helpers import DUMMY_SOLVER, make_pool, make_state, oracle_models, pool_as_
 
 from alr.harness import selection_sequence
 from alr.regression import LinearModel, SolverConfig
-from alr.strategies import (
-    PoolState,
-    StrategySpec,
-    emcm_step,
-    gs_input_step,
-    gsy_step,
-    igs_step,
-    k0_default,
-    mtgsy_step,
-    mtigs_step,
-    parse_strategy,
-    qbc_step,
-    random_step,
-    select_initial_centroid,
-    select_next,
-    strategy_to_string,
-)
+from alr.strategies import PoolState, StrategySpec, k0_default, parse_strategy, select_next, strategy_to_string
 
 RIDGE = SolverConfig("ridge", lam=1.0)
 
@@ -49,11 +33,11 @@ class TestK0Default:
 class TestInitialCentroid:
     def test_symmetric_line(self):
         state = make_state([[0.0], [1.0], [2.0]], [[0.0], [0.0], [0.0]])
-        assert select_initial_centroid(state) == 1
+        assert select_next(state, StrategySpec("gsx")) == 1
 
     def test_identical_points_tie(self):
         state = make_state([[3.0]] * 4, [[0.0]] * 4)
-        assert select_initial_centroid(state) == 0
+        assert select_next(state, StrategySpec("gsx")) == 0
 
     def test_hand_distance_table(self):
         # centroid (3,3); (2,0) and (0,2) tie at sqrt(10) -> lower index wins
@@ -61,31 +45,21 @@ class TestInitialCentroid:
             [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [10.0, 10.0]],
             [[0.0]] * 4,
         )
-        assert select_initial_centroid(state) == 1
-
-    def test_requires_empty_labeled(self):
-        state = make_state([[0.0], [1.0]], [[0.0], [0.0]], labeled=[0])
-        with pytest.raises(ValueError):
-            select_initial_centroid(state)
+        assert select_next(state, StrategySpec("gsx")) == 1
 
 
 class TestGsInput:
     def test_tie_goes_to_smallest_index(self):
         state = make_state([[0.0], [1.0], [2.0]], [[0.0]] * 3, labeled=[1])
-        assert gs_input_step(state) == 0
+        assert select_next(state, StrategySpec("gsx")) == 0
 
     def test_farthest_selected(self):
         state = make_state([[0.0], [1.0], [5.0]], [[0.0]] * 3, labeled=[1])
-        assert gs_input_step(state) == 2
+        assert select_next(state, StrategySpec("gsx")) == 2
 
     def test_duplicate_of_labeled_never_chosen(self):
         state = make_state([[1.0], [1.0], [4.0]], [[0.0]] * 3, labeled=[0])
-        assert gs_input_step(state) == 2
-
-    def test_needs_labeled(self):
-        state = make_state([[0.0], [1.0]], [[0.0]] * 2)
-        with pytest.raises(ValueError):
-            gs_input_step(state)
+        assert select_next(state, StrategySpec("gsx")) == 2
 
 
 class TestGsy:
@@ -101,7 +75,7 @@ class TestGsy:
 
     def test_hand_min_distance_table(self):
         # labeled outputs {0, 1}; predictions (0.4, 2.0, 0.5) -> gaps (0.4, 1.0, 0.5)
-        assert gsy_step(self._state(), task=0) == 3
+        assert select_next(self._state(), StrategySpec("gsy", focus_task=0)) == 3
 
     def test_exact_match_scores_zero(self):
         state = make_state(
@@ -111,7 +85,7 @@ class TestGsy:
         )
         state.set_models([model([1.0])])
         # prediction 1.0 duplicates a labeled output, so 5.0 must win
-        assert gsy_step(state, task=0) == 3
+        assert select_next(state, StrategySpec("gsy", focus_task=0)) == 3
 
     def test_adding_labeled_output_shrinks_gaps(self):
         rng = np.random.default_rng(0)
@@ -124,20 +98,22 @@ class TestGsy:
     def test_requires_models(self):
         state = make_state([[0.0], [1.0]], [[0.0], [0.0]], labeled=[0])
         with pytest.raises(ValueError, match="models"):
-            gsy_step(state, task=0)
+            select_next(state, StrategySpec("gsy", focus_task=0))
 
     def test_stale_models_rejected(self):
         state = self._state()
         state.add(2)
         with pytest.raises(ValueError, match="stale"):
-            gsy_step(state, task=0)
+            select_next(state, StrategySpec("gsy", focus_task=0))
 
 
 class TestMtGsy:
     def test_reduces_to_gsy_on_single_task(self):
         for seed in range(25):
             state, _ = random_greedy_instance(seed, max_p=1)
-            assert mtgsy_step(state) == gsy_step(state, task=0)
+            assert select_next(state, StrategySpec("mt_gsy")) == select_next(
+                state, StrategySpec("gsy", focus_task=0)
+            )
 
     def test_hand_product_table(self):
         # per-task gaps to the single labeled output (0, 0):
@@ -149,18 +125,18 @@ class TestMtGsy:
             k0=1,
         )
         state.set_models([model([1.0, 0.0]), model([0.0, 1.0])])
-        assert mtgsy_step(state) == 3
+        assert select_next(state, StrategySpec("mt_gsy")) == 3
 
     def test_task_rescaling_preserves_argmax(self):
         for seed in range(10):
             state, rng = random_greedy_instance(seed, max_p=3)
             if state.pool.n_tasks < 2:
                 continue
-            choice = mtgsy_step(state)
+            choice = select_next(state, StrategySpec("mt_gsy"))
             task = int(rng.integers(state.pool.n_tasks))
             for c in (0.1, 10.0):
                 scaled = _scale_task(state, task, c)
-                assert mtgsy_step(scaled) == choice
+                assert select_next(scaled, StrategySpec("mt_gsy")) == choice
 
     def test_min_of_products_not_product_of_mins(self):
         # two labeled outputs (1,10) and (10,1); candidate predictions
@@ -181,7 +157,7 @@ class TestMtGsy:
         }
         assert max(per_m_products, key=per_m_products.get) == 2
         assert max(product_of_mins, key=product_of_mins.get) == 3
-        assert mtgsy_step(state) == 2
+        assert select_next(state, StrategySpec("mt_gsy")) == 2
 
 
 def _scale_task(state, task, c):
@@ -203,12 +179,12 @@ class TestIgs:
         # scores: 1*1=1 for x=1, 0.5*3=1.5 for x=0.5
         state = make_state([[0.0], [1.0], [0.5]], [[0.0], [0.0], [0.0]], labeled=[0])
         state.set_models([model([-4.0], intercept=5.0)])
-        assert igs_step(state, task=0) == 2
+        assert select_next(state, StrategySpec("igs", focus_task=0)) == 2
 
     def test_duplicate_input_scores_zero(self):
         state = make_state([[1.0], [1.0], [3.0]], [[0.5], [0.0], [0.0]], labeled=[0])
         state.set_models([model([1.0])])
-        assert igs_step(state, task=0) == 2
+        assert select_next(state, StrategySpec("igs", focus_task=0)) == 2
 
     def test_constant_output_factor_matches_input_greedy(self):
         # all predictions equal, single labeled output: y-factor constant
@@ -216,7 +192,8 @@ class TestIgs:
             [[0.0], [2.0], [7.0], [3.0]], [[1.0]] * 4, labeled=[0]
         )
         state.set_models([model([0.0], intercept=4.0)])
-        assert igs_step(state, task=0) == gs_input_step(state)
+        igs_pick = select_next(state, StrategySpec("igs", focus_task=0))
+        assert igs_pick == select_next(state, StrategySpec("gsx"))
 
     def test_min_of_products_not_product_of_mins(self):
         # labeled (x=0,y=0), (x=10,y=10); candidates x=1 (pred 9) and x=2
@@ -237,14 +214,16 @@ class TestIgs:
         }
         assert max(min_of_products, key=min_of_products.get) == 2
         assert max(product_of_mins, key=product_of_mins.get) == 3
-        assert igs_step(state, task=0) == 2
+        assert select_next(state, StrategySpec("igs", focus_task=0)) == 2
 
 
 class TestMtIgs:
     def test_reduces_to_igs_on_single_task(self):
         for seed in range(25):
             state, _ = random_greedy_instance(seed, max_p=1)
-            assert mtigs_step(state) == igs_step(state, task=0)
+            assert select_next(state, StrategySpec("mt_igs")) == select_next(
+                state, StrategySpec("igs", focus_task=0)
+            )
 
     def test_hand_computation(self):
         # scores: 1*1*1=1 for x=1, 0.5*2*1.5=1.5 for x=0.5
@@ -254,17 +233,17 @@ class TestMtIgs:
             labeled=[0],
         )
         state.set_models([model([-2.0], intercept=3.0), model([-1.0], intercept=2.0)])
-        assert mtigs_step(state) == 2
+        assert select_next(state, StrategySpec("mt_igs")) == 2
 
     def test_task_rescaling_preserves_argmax(self):
         for seed in range(10):
             state, rng = random_greedy_instance(seed, max_p=3)
             if state.pool.n_tasks < 2:
                 continue
-            choice = mtigs_step(state)
+            choice = select_next(state, StrategySpec("mt_igs"))
             task = int(rng.integers(state.pool.n_tasks))
             for c in (0.1, 10.0):
-                assert mtigs_step(_scale_task(state, task, c)) == choice
+                assert select_next(_scale_task(state, task, c), StrategySpec("mt_igs")) == choice
 
     def test_min_of_products_not_product_of_mins(self):
         # equidistant labeled features isolate the output combiner
@@ -287,7 +266,7 @@ class TestMtIgs:
         }
         assert max(min_of_products, key=min_of_products.get) == 2
         assert max(product_of_mins, key=product_of_mins.get) == 3
-        assert mtigs_step(state) == 2
+        assert select_next(state, StrategySpec("mt_igs")) == 2
 
 
 class TestOracleEquivalence:
@@ -300,19 +279,19 @@ class TestOracleEquivalence:
             models = oracle_models(state)
             task = int(rng.integers(state.pool.n_tasks))
 
-            assert gs_input_step(state) == bruteforce.gs_input_choice(
+            assert select_next(state, StrategySpec("gsx")) == bruteforce.gs_input_choice(
                 features, labeled, unlabeled
             )
-            assert gsy_step(state, task) == bruteforce.gsy_choice(
+            assert select_next(state, StrategySpec("gsy", focus_task=task)) == bruteforce.gsy_choice(
                 features, labels, labeled, unlabeled, models[task], task
             )
-            assert igs_step(state, task) == bruteforce.igs_choice(
+            assert select_next(state, StrategySpec("igs", focus_task=task)) == bruteforce.igs_choice(
                 features, labels, labeled, unlabeled, models[task], task
             )
-            assert mtgsy_step(state) == bruteforce.mtgsy_choice(
+            assert select_next(state, StrategySpec("mt_gsy")) == bruteforce.mtgsy_choice(
                 features, labels, labeled, unlabeled, models
             )
-            assert mtigs_step(state) == bruteforce.mtigs_choice(
+            assert select_next(state, StrategySpec("mt_igs")) == bruteforce.mtigs_choice(
                 features, labels, labeled, unlabeled, models
             )
 
@@ -324,73 +303,73 @@ class TestQbc:
         return state
 
     def test_identical_committee_falls_to_tie_rule(self):
-        assert qbc_step(self._degenerate_state(), task=0) == 2
+        assert select_next(self._degenerate_state(), StrategySpec("qbc", focus_task=0)) == 2
 
     def test_seeded_determinism(self):
         picks = set()
         for _ in range(3):
             state, _ = random_greedy_instance(7)
-            picks.add(qbc_step(state, task=0))
+            picks.add(select_next(state, StrategySpec("qbc", focus_task=0)))
         assert len(picks) == 1
 
     def test_label_shift_does_not_change_selection(self):
         state, _ = random_greedy_instance(11)
-        baseline = qbc_step(state, task=0)
+        baseline = select_next(state, StrategySpec("qbc", focus_task=0))
         fresh, _ = random_greedy_instance(11)
         labels = fresh.pool.labels.copy()
         labels[:, 0] += 5.0
         clone = make_state(fresh.pool.features, labels, labeled=list(fresh.labeled))
         clone.rng = fresh.rng  # unconsumed stream at the same seed
         clone.fit_models(SolverConfig("ridge", lam=1.0))
-        assert qbc_step(clone, task=0) == baseline
+        assert select_next(clone, StrategySpec("qbc", focus_task=0)) == baseline
 
     def test_too_few_labeled(self):
         state = make_state([[1.0], [2.0], [3.0]], [[0.0]] * 3, labeled=[0])
         state.fit_models(RIDGE)
         with pytest.raises(ValueError, match="bootstrap"):
-            qbc_step(state, task=0)
+            select_next(state, StrategySpec("qbc", focus_task=0))
 
 
 class TestEmcm:
     def test_identical_committee_falls_to_tie_rule(self):
         state = make_state([[2.0, 1.0]] * 5, [[3.0]] * 5, labeled=[0, 1])
         state.fit_models(RIDGE)
-        assert emcm_step(state, task=0) == 2
+        assert select_next(state, StrategySpec("emcm", focus_task=0)) == 2
 
     def test_zero_feature_vector_scores_zero(self):
         state = make_state(
             [[1.0], [-1.0], [0.0], [0.0]], [[1.0], [-1.0], [0.0], [0.0]], labeled=[0, 1]
         )
         state.fit_models(RIDGE)
-        assert emcm_step(state, task=0) == 2
+        assert select_next(state, StrategySpec("emcm", focus_task=0)) == 2
 
     def test_label_scaling_preserves_argmax(self):
         state, _ = random_greedy_instance(13)
-        baseline = emcm_step(state, task=0)
+        baseline = select_next(state, StrategySpec("emcm", focus_task=0))
         fresh, _ = random_greedy_instance(13)
         labels = fresh.pool.labels.copy()
         labels[:, 0] *= 2.0
         clone = make_state(fresh.pool.features, labels, labeled=list(fresh.labeled))
         clone.rng = fresh.rng
         clone.fit_models(SolverConfig("ridge", lam=1.0))
-        assert emcm_step(clone, task=0) == baseline
+        assert select_next(clone, StrategySpec("emcm", focus_task=0)) == baseline
 
 
 class TestRandomStep:
     def test_singleton(self):
         state = make_state([[0.0], [1.0]], [[0.0]] * 2, labeled=[0])
-        assert random_step(state) == 1
+        assert select_next(state, StrategySpec("random")) == 1
 
     def test_seeded_determinism(self):
         seqs = []
         for _ in range(2):
             state = make_state(np.arange(10.0)[:, None], [[0.0]] * 10, seed=42)
-            seqs.append([random_step(state) for _ in range(5)])
+            seqs.append([select_next(state, StrategySpec("random")) for _ in range(5)])
         assert seqs[0] == seqs[1]
 
     def test_empirical_uniformity(self):
         state = make_state(np.arange(10.0)[:, None], [[0.0]] * 10, seed=123)
-        draws = np.array([random_step(state) for _ in range(100_000)])
+        draws = np.array([select_next(state, StrategySpec("random")) for _ in range(100_000)])
         counts = np.bincount(draws, minlength=10)
         assert stats.chisquare(counts).pvalue > 0.001
 
@@ -422,7 +401,10 @@ class TestSelectNext:
     def test_gsx_equals_input_greedy_at_any_stage(self):
         for seed in range(10):
             state, _ = random_greedy_instance(seed)
-            assert select_next(state, StrategySpec("gsx")) == gs_input_step(state)
+            unlabeled = [int(i) for i in state.unlabeled_indices()]
+            assert select_next(state, StrategySpec("gsx")) == bruteforce.gs_input_choice(
+                pool_as_lists(state)[0], list(state.labeled), unlabeled
+            )
 
     def test_gsx_ignores_focus_task(self):
         pool = make_pool(np.random.default_rng(0).standard_normal((12, 2)),
@@ -434,7 +416,8 @@ class TestSelectNext:
     def test_first_pick_is_centroid_for_greedy_kinds(self):
         rng = np.random.default_rng(5)
         state = make_state(rng.standard_normal((8, 2)), rng.standard_normal((8, 1)))
-        expected = select_initial_centroid(state)
+        feats = state.pool.features
+        expected = int(np.argmin(np.linalg.norm(feats - feats.mean(axis=0), axis=1)))
         for kind in ("gsx", "gsy", "igs", "mt_gsy", "mt_igs"):
             assert select_next(state, StrategySpec(kind)) == expected
 
@@ -446,9 +429,24 @@ class TestSelectNext:
             reference = PoolState(pool, rng=9)
             # below k0 every committee kind must follow the random stream
             for _ in range(pool.n_features):
-                assert select_next(state, StrategySpec(kind)) == random_step(reference)
+                expected = select_next(reference, StrategySpec("random"))
+                assert select_next(state, StrategySpec(kind)) == expected
                 state.add(state.unlabeled_indices()[0])
                 reference.add(reference.unlabeled_indices()[0])
+
+    def test_gsx_warmup_phase_for_greedy_kinds(self):
+        rng = np.random.default_rng(7)
+        pool = make_pool(rng.standard_normal((10, 4)), rng.standard_normal((10, 2)))
+        for kind in ("gsy", "igs", "mt_gsy", "mt_igs"):
+            state, reference = PoolState(pool), PoolState(pool)
+            for ledger in (state, reference):
+                ledger.add(select_next(ledger, StrategySpec("gsx")))
+            # picks 1..k0-1 follow the input-space rule and need no fitted models
+            while state.n_labeled < state.k0:
+                pick = select_next(state, StrategySpec(kind, focus_task=0))
+                assert pick == select_next(reference, StrategySpec("gsx"))
+                state.add(pick)
+                reference.add(pick)
 
     def test_multi_task_sequences_match_single_task_on_one_task(self):
         rng = np.random.default_rng(2)
