@@ -27,7 +27,7 @@ from .harness import (
     write_curves_json,
 )
 from .regression import parse_solver
-from .strategies import SINGLE_TASK_KINDS, k0_default, parse_strategy, strategy_to_string
+from .strategies import SINGLE_TASK_KINDS, _resolve_focus_task, k0_default, parse_strategy, strategy_to_string
 
 _DEFAULT_COMPARE_KS = "50,100,150,200,250"
 _DEFAULT_ALPHAS = "1,2,3,5,10"
@@ -54,6 +54,17 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated number list, got '{text}'") from None
+
+
+def _k_spans(ks: list[int]) -> str:
+    """Ascending K values as runs, e.g. [46, 47, 48, 50] -> "46..48,50"."""
+    spans = []
+    for k in ks:
+        if spans and spans[-1][1] == k - 1:
+            spans[-1][1] = k
+        else:
+            spans.append([k, k])
+    return ",".join(str(a) if a == b else f"{a}..{b}" for a, b in spans)
 
 
 def _load_dataset(args):
@@ -92,6 +103,8 @@ def cmd_run(args, parser) -> int:
                     f"{data.n_tasks}-task dataset"
                 )
             spec = dataclasses.replace(spec, focus_task=args.focus_task)
+        if spec.kind in SINGLE_TASK_KINDS:
+            _resolve_focus_task(spec, data.n_tasks)
         specs.append(spec)
 
     curves = []
@@ -114,6 +127,11 @@ def cmd_run(args, parser) -> int:
             f"{strategy_to_string(spec)}: runs={args.runs} K={curve.ks[0]}..{k_end} "
             f"mean RMSE@{k_end}={mean_rmse:.4f} (avg over {len(curve.task_names)} tasks)"
         )
+        failed = sum(curve.nonconverged.values())
+        if failed:
+            fits = curve.n_runs * len(curve.task_names) * len(curve.ks)
+            where = _k_spans([k for k, n in curve.nonconverged.items() if n])
+            print(f"{curve.strategy}: {failed} of {fits} fits did not converge (K={where})", file=sys.stderr)
 
     out = Path(args.out)
     write_curves_csv(curves, out)

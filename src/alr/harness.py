@@ -124,8 +124,9 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     Queries one sample per iteration until the pool is exhausted or
     cfg.k_max is reached. All per-task models are refit from scratch after
     every query (single-task strategies still fit every task for
-    evaluation), and a MetricRecord is emitted for each K >= k0. Coefficient
-    MAE is measured against the full-pool reference model.
+    evaluation), and a MetricRecord is emitted for each K >= k0, counting
+    the task models that did not converge. Coefficient MAE is measured
+    against the full-pool reference model.
     """
     if pool.n_features != test.n_features or pool.n_tasks != test.n_tasks:
         raise ValueError("pool and test must share feature and task dimensions")
@@ -158,6 +159,7 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
                 coef_mae=mae_v,
                 label_std=std_v,
                 group_fraction=frac,
+                nonconverged=sum(not m.converged for m in state.models),
             )
         )
     return RunResult(
@@ -195,6 +197,8 @@ class LearningCurve:
     Cells are keyed by (metric, task_label, k); task_label is a task name,
     or "all" for metrics without a task axis (group_fraction). Cell counts
     are effective run counts: runs where the metric was defined.
+    `nonconverged` maps each K to the task models, summed over runs, that
+    did not converge there; it is written to the JSON curves, not the CSV.
     """
 
     strategy: str
@@ -204,6 +208,7 @@ class LearningCurve:
     cells: dict
     n_runs: int
     config: dict = field(default_factory=dict)
+    nonconverged: dict = field(default_factory=dict)
 
     def cell(self, metric: str, task: str, k: int) -> CurveCell:
         try:
@@ -284,6 +289,7 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
         ks=ks,
         cells=cells,
         n_runs=cfg.runs,
+        nonconverged={k: sum(r.records[ki].nonconverged for r in results) for ki, k in enumerate(ks)},
         config={
             "strategy": strategy_to_string(cfg.strategy),
             "solver": solver_to_string(cfg.solver),
@@ -401,6 +407,7 @@ def curves_to_json_dict(curves) -> dict:
                 "ks": list(curve.ks),
                 "n_runs": curve.n_runs,
                 "config": curve.config,
+                "nonconverged": {str(k): n for k, n in curve.nonconverged.items()},
                 "points": [
                     {
                         "metric": metric,

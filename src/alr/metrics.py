@@ -78,7 +78,8 @@ class MetricRecord:
     """Per-iteration evaluation snapshot at labeled count k.
 
     cc and label_std entries are NaN where undefined (constant predictions,
-    fewer than 2 selected samples).
+    fewer than 2 selected samples). `nonconverged` counts the task models
+    fitted at k that report converged=False.
     """
 
     k: int
@@ -87,6 +88,7 @@ class MetricRecord:
     coef_mae: tuple[float, ...]
     label_std: tuple[float, ...]
     group_fraction: float | None = None
+    nonconverged: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rmse", tuple(float(v) for v in self.rmse))

@@ -95,6 +95,21 @@ class TestRunErrors:
         assert code == 0
         assert _rows(out)[0]["strategy"] == "gsy:task=1"
 
+    def test_focus_task_out_of_range_exits_1_before_any_experiment(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        assert main(["synth", "--n", "40", "--d", "2", "--p", "2", "--seed", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(data), "--tasks", "2", "--strategy", "random",
+             "--strategy", "gsy:task=5", "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "focus_task 5 out of range for 2 tasks" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_missing_data_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["run", "--data", str(tmp_path / "nope.csv"), "--tasks", "3",
@@ -116,6 +131,25 @@ class TestRunErrors:
              "--runs", "2", "--k-max", "4", "--out", str(out)]
         )
         assert code == 0
+
+
+class TestNonconvergence:
+    def test_counts_reach_stderr_and_json_not_csv(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "c.csv"
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            code = main(
+                ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+                 "--solver", "lasso:lambda=0.001,max_iters=1", "--runs", "2", "--k-max", "5",
+                 "--threads", "1", "--out", str(out)]
+            )
+        assert code == 0
+        # d = 3, so K = 3..5: 2 runs x 3 tasks x 3 K values, none converged in one sweep
+        assert "random: 18 of 18 fits did not converge (K=3..5)" in capsys.readouterr().err.splitlines()
+        payload = json.loads(out.with_suffix(".json").read_text())
+        assert payload["curves"][0]["nonconverged"] == {"3": 6, "4": 6, "5": 6}
+        rows = _rows(out)
+        assert list(rows[0]) == ["strategy", "solver", "task", "K", "metric", "mean", "std", "n_runs"]
+        assert {r["metric"] for r in rows} == {"rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc"}
 
 
 class TestDeterminism:

@@ -1,8 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bruteforce
+from alr import regression
 from alr.regression import (
     LinearModel,
     SolverConfig,
@@ -164,6 +169,64 @@ class TestElasticNet:
         en = fit(X, y, SolverConfig("elastic_net", lam=0.8, lam2=0.0))
         lasso = fit(X, y, SolverConfig("lasso", lam=0.8))
         assert np.abs(en.coefficients - lasso.coefficients).max() < 1e-6
+
+
+def _lambda_max(X, y):
+    """The smallest L1 weight at which every LASSO coefficient is zero."""
+    Xc = X - X.mean(axis=0)
+    return 2.0 * np.abs(Xc.T @ (y - y.mean())).max()
+
+
+class TestCoordinateDescentOracle:
+    """The covariance-form solver replays plain-Python residual-form coordinate descent."""
+
+    TOL = 1e-6
+
+    def _assert_matches_oracle(self, X, y, l1, l2, max_iters):
+        kind = "elastic_net" if l2 > 0.0 else "lasso"
+        cfg = SolverConfig(kind, lam=l1, lam2=l2, cd_tolerance=self.TOL, cd_max_iters=max_iters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = fit(X, y, cfg)
+        beta, converged = bruteforce.coordinate_descent(X.tolist(), y.tolist(), l1, l2, self.TOL, max_iters)
+        assert model.converged == converged
+        gap = np.abs(model.coefficients - np.array(beta)).max()
+        if converged:
+            assert gap <= 10.0 * self.TOL
+        else:
+            # the same iterate sequence, cut at the same sweep
+            assert gap <= 1e-8 * (1.0 + np.abs(beta).max())
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        # k <= d gives rank-deficient designs that may run to the sweep cap
+        shape=st.tuples(st.integers(2, 12), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        zero_column=st.booleans(),
+        l2=st.sampled_from((0.0, 0.01, 1.0)),
+        # lambda from 1e-5 lambda_max up to just past lambda_max, where
+        # coordinates enter and leave the active set during the fit
+        log_scale=st.floats(-5.0, 0.05),
+    )
+    def test_random_instances(self, shape, seed, zero_column, l2, log_scale):
+        k, d = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k, d))
+        if zero_column:
+            X[:, rng.integers(d)] = 0.0
+        y = X @ rng.standard_normal(d) + 0.3 * rng.standard_normal(k)
+        self._assert_matches_oracle(X, y, _lambda_max(X, y) * 10.0**log_scale, l2, max_iters=300)
+
+    def test_sign_pattern_change_mid_fit(self, monkeypatch):
+        calls = []
+        scalar_sweep = regression._scalar_sweep
+        monkeypatch.setattr(
+            regression, "_scalar_sweep", lambda *args: calls.append(1) or scalar_sweep(*args)
+        )
+        X, y = _random_problem(2, n=12, d=6)
+        self._assert_matches_oracle(X, y, 0.3 * _lambda_max(X, y), 0.0, max_iters=10000)
+        # the first sweep, then at least one fallback after the pattern changed
+        assert len(calls) >= 2
 
 
 class TestPredict:
