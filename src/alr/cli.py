@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,15 +30,6 @@ from .strategies import SINGLE_TASK_KINDS, _resolve_focus_task, k0_default, pars
 
 _DEFAULT_COMPARE_KS = "50,100,150,200,250"
 _DEFAULT_ALPHAS = "1,2,3,5,10"
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("ALR_THREADS")
-        value = int(env) if env else (os.cpu_count() or 1)
-    if value < 1:
-        raise ValueError("threads must be >= 1")
-    return value
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -89,9 +79,11 @@ def cmd_normalize(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"--out: no such directory: {out.parent}")
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
-    threads = _resolve_threads(args.threads)
 
     specs = []
     for text in args.strategy:
@@ -119,7 +111,7 @@ def cmd_run(args, parser) -> int:
             seed=args.seed,
             group_value=args.group_value,
         )
-        curve = run_experiment(data, cfg, threads=threads)
+        curve = run_experiment(data, cfg, threads=args.threads)
         curves.append(curve)
         k_end = curve.ks[-1]
         mean_rmse = sum(curve.mean("rmse", t, k_end) for t in curve.task_names) / len(curve.task_names)
@@ -133,7 +125,6 @@ def cmd_run(args, parser) -> int:
             where = _k_spans([k for k, n in curve.nonconverged.items() if n])
             print(f"{curve.strategy}: {failed} of {fits} fits did not converge (K={where})", file=sys.stderr)
 
-    out = Path(args.out)
     write_curves_csv(curves, out)
     write_curves_json(curves, out.with_suffix(".json"))
     return 0
@@ -311,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: normalize the whole dataset once before splitting)",
     )
     p.add_argument("--group-value", default=None, help="track the selected fraction of this group tag")
-    p.add_argument("--threads", type=int, default=None, help="run-level parallelism (env ALR_THREADS)")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored: runs execute one after another")
     p.add_argument("--out", required=True, help="output CSV path (JSON written alongside)")
     p.set_defaults(handler=cmd_run)
 

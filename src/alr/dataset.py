@@ -158,19 +158,8 @@ class NormalizationParams:
             for name, m, s in zip(self.feature_names, self.means, self.stds)
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "NormalizationParams":
-        names = tuple(payload)
-        means = [payload[n]["mean"] for n in names]
-        stds = [payload[n]["std"] for n in names]
-        return cls(feature_names=names, means=means, stds=stds)
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "NormalizationParams":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:

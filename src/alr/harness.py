@@ -6,8 +6,8 @@ configured strategy, refit all per-task models after every query, and score
 them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
-Runs derive their seeds as ``seed ^ run_index``, so results are independent
-of scheduling and identical at any thread count.
+Runs execute one after another and derive their seeds as
+``seed ^ run_index``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -233,30 +232,25 @@ def _aggregate(values: list[float]) -> CurveCell:
 
 
 def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> LearningCurve:
-    """Aggregate cfg.runs independent runs into a learning curve.
+    """Aggregate cfg.runs independent runs, one after another, into a learning curve.
 
     Run r splits with seed ``cfg.seed ^ r``. With
     cfg.normalize_before_split the whole dataset is normalized once up
     front; otherwise each run normalizes its pool and applies the pool
-    statistics to its test set.
+    statistics to its test set. `threads` is accepted and ignored, but must
+    be >= 1.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     base = normalize_features(data)[0] if cfg.normalize_before_split else data
-
-    def one_run(r: int) -> RunResult:
+    results = []
+    for r in range(cfg.runs):
         run_seed = cfg.seed ^ r
         pool, test = split_train_test(base, SplitConfig(cfg.train_fraction, run_seed))
         if not cfg.normalize_before_split:
             pool, params = normalize_features(pool)
             test = apply_normalization(test, params)
-        return run_single(pool, test, cfg, seed=run_seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            results = list(pool_exec.map(one_run, range(cfg.runs)))
-    else:
-        results = [one_run(r) for r in range(cfg.runs)]
+        results.append(run_single(pool, test, cfg, seed=run_seed))
 
     ks = tuple(rec.k for rec in results[0].records)
     for res in results[1:]:

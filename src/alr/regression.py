@@ -8,24 +8,22 @@ All solvers minimize a sum-of-squares objective plus an unscaled penalty:
     elastic_net:  ||y - X b||^2 + lam * ||b||_1 + lam2 * ||b||^2
 
 The intercept is fitted by centering X and y before solving and is never
-penalized. Ridge is solved in closed form. LASSO and elastic net run cyclic
-coordinate descent in covariance form (Friedman, Hastie & Tibshirani,
-"Regularization Paths for Generalized Linear Models via Coordinate Descent",
-J. Stat. Softw. 2010): on G = XcᵀXc and c = Xcᵀyc, with no residual vector.
-While every coordinate keeps its sign from the previous sweep, a sweep is one
-triangular solve; a sweep that changes a sign runs coordinate by coordinate.
-Descent stops on the max coefficient change, with a subgradient optimality
-guard before declaring convergence.
+penalized. OLS (and any fit with no penalty) takes the minimum-norm
+least-squares solution, and ridge (and elastic net with no L1 weight) is
+solved in closed form. LASSO and elastic net follow the exact homotopy path
+(Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000) on G = XcᵀXc and
+c = Xcᵀyc, which reaches the solution in a finite number of steps even when
+the centred design is rank deficient. `tol` is the subgradient optimality
+guard: a fit is converged when the KKT residual is at most 10·tol.
+`max_iters` caps the path steps.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 __all__ = [
     "SOLVER_KINDS",
@@ -41,6 +39,7 @@ __all__ = [
 
 SOLVER_KINDS = ("ols", "ridge", "lasso", "elastic_net")
 LAMBDA_MODES = ("none", "labeled", "budget")
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,9 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
 
     Centering handles the intercept, so the penalty never touches it. OLS on
     a rank-deficient design falls back to the minimum-norm solution. A
-    coordinate-descent run that exhausts cd_max_iters returns its best
-    iterate with converged=False and emits a warning.
+    LASSO or elastic-net fit whose KKT residual exceeds 10·cd_tolerance (its
+    path cut at cd_max_iters steps, say) has converged=False and emits a
+    warning.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -149,20 +149,24 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     Xc = X - x_mean
     yc = y - y_mean
 
+    l1 = cfg.lam if cfg.kind in ("lasso", "elastic_net") else 0.0
+    l2 = {"ridge": cfg.lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
     converged = True
-    if cfg.kind == "ols" or (cfg.kind == "ridge" and cfg.lam == 0.0):
+    if l1 == 0.0 and l2 == 0.0:
         beta = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-    elif cfg.kind == "ridge":
-        gram = Xc.T @ Xc + cfg.lam * np.eye(d)
+    elif l1 == 0.0:
+        gram = Xc.T @ Xc + l2 * np.eye(d)
         beta = np.linalg.solve(gram, Xc.T @ yc)
     else:
-        lam2 = cfg.lam2 if cfg.kind == "elastic_net" else 0.0
-        beta, converged = _coordinate_descent(
-            Xc, yc, l1=cfg.lam, l2=lam2, tol=cfg.cd_tolerance, max_iters=cfg.cd_max_iters
-        )
+        gram = Xc.T @ Xc
+        corr = Xc.T @ yc
+        beta = _lasso_path(gram, corr, l1, l2, cfg.cd_max_iters)
+        violation = _kkt_violation(gram, corr, beta, l1, l2)
+        converged = violation <= 10.0 * cfg.cd_tolerance
         if not converged:
             warnings.warn(
-                f"coordinate descent did not converge within {cfg.cd_max_iters} sweeps",
+                f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
+                f"{cfg.cd_max_iters} steps",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -183,71 +187,68 @@ def _kkt_violation(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray, l1: flo
     return float(violation.max()) if violation.size else 0.0
 
 
-def _scalar_sweep(
-    gram: np.ndarray, corr: np.ndarray, denom: np.ndarray, beta: np.ndarray, half_l1: float
-) -> np.ndarray:
-    """One cyclic sweep, coordinate by coordinate: the soft-threshold rule in covariance form."""
-    beta = beta.copy()
-    movable = np.flatnonzero(denom).tolist()
-    # Python floats: NumPy scalar arithmetic would double the cost of the loop
-    diag, corr, denom = np.diag(gram).tolist(), corr.tolist(), denom.tolist()
-    for j in movable:
-        rho = corr[j] - float(gram[j] @ beta) + diag[j] * float(beta[j])
-        shrunk = abs(rho) - half_l1
-        beta[j] = math.copysign(shrunk, rho) / denom[j] if shrunk > 0.0 else 0.0
-    return beta
+def _lasso_path(gram: np.ndarray, corr: np.ndarray, l1: float, l2: float, max_iters: int) -> np.ndarray:
+    """Follow the exact homotopy (LARS-lasso) path from β = 0 down to μ = l1/2.
 
-
-def _coordinate_descent(
-    Xc: np.ndarray, yc: np.ndarray, l1: float, l2: float, tol: float, max_iters: int
-) -> tuple[np.ndarray, bool]:
-    """Cyclic coordinate descent on G = XcᵀXc and c = Xcᵀyc.
-
-    While every coordinate keeps the sign the previous sweep left it with
-    (positive, negative or zero), a whole cyclic sweep is one lower-triangular
-    solve: rows j with sign s_j != 0 solve
-
-        (tril(G, -1) + diag(G + l2)) β_new = c - (l1/2) s - triu(G, 1) β_old
-
-    and zero rows keep β_new = 0. The solve is accepted only when it is what
-    the scalar rule would have done: nonzero coordinates keep their signs and
-    every zero coordinate's |ρ_j| stays ≤ l1/2. Otherwise, and on the first
-    sweep, a scalar sweep replaces it and sets the pattern for the next one.
+    With H = G + l2·I and r = c - Hβ, the solution at penalty μ has r_A = μ·s_A
+    on its active set A (signs s) and |r_j| ≤ μ off it. As μ falls, β_A moves
+    along δ_A = H_AA⁻¹ s_A until the next event: a free coordinate enters when
+    |r_j| reaches μ, or an active one leaves when β_j reaches 0. H_AA⁻¹ is
+    bordered by one rank-one term when a coordinate enters and recomputed
+    when one leaves. At most max_iters events are followed, and one exact
+    solve on the last active set ends the path.
     """
-    gram = Xc.T @ Xc
-    corr = Xc.T @ yc
-    denom = np.diag(gram) + l2
-    lower = np.tril(gram, -1)
-    upper = np.triu(gram, 1)
-    half_l1 = l1 / 2.0
-    beta = np.zeros(gram.shape[0])
-    signs = None
+    d = corr.size
+    hess = gram + l2 * np.eye(d)
+    mu_end = l1 / 2.0
+    mu = float(np.abs(corr).max(initial=0.0))
+    beta = np.zeros(d)
+    signs = np.zeros(d)
+    inv = np.zeros((d, d))  # H_AA⁻¹ embedded in d x d, zero off A
+    times = np.empty((3, d))  # rows: reach +μ, reach -μ, leave through 0
+    dependent = np.zeros(d, dtype=bool)
     for _ in range(max_iters):
-        new = None
-        if signs is not None:
-            from_old = upper @ beta
-            rhs = target - from_old
-            rhs[zero] = 0.0
-            # BLAS trsv: scipy.linalg.solve_triangular's checks cost 4x the solve at d = 46
-            new = dtrsv(tri, rhs, lower=1)
-            if not (np.sign(new) == signs).all() or (
-                zero.size and np.abs(corr[zero] - from_old[zero] - lower[zero] @ new).max() > half_l1
-            ):
-                new = None
-        if new is None:
-            new = _scalar_sweep(gram, corr, denom, beta, half_l1)
-            signs = np.sign(new)
-            zero = np.flatnonzero(signs == 0.0)
-            target = corr - half_l1 * signs
-            tri = lower + np.diag(denom)
-            tri[zero] = 0.0
-            tri[zero, zero] = 1.0
-            tri = np.asfortranarray(tri)  # else dtrsv copies it on every call
-        max_delta = np.abs(new - beta).max(initial=0.0)
-        beta = new
-        if max_delta <= tol and _kkt_violation(gram, corr, beta, l1, l2) <= 10.0 * tol:
-            return beta, True
-    return beta, False
+        if mu <= mu_end:
+            break
+        step = inv @ signs
+        slope = hess @ step
+        resid = corr - hess @ beta
+        den = 1.0 - _SIDES * slope
+        enter = (den > 0.0) & (signs == 0.0) & ~dependent
+        times.fill(np.inf)
+        # clamped at 0, so a coordinate rounding pushed just past |r_j| = μ still enters
+        np.divide(np.maximum(mu - _SIDES * resid, 0.0), den, out=times[:2], where=enter)
+        # an active coordinate leaves where δ_j moves β_j toward 0, clamped the same way
+        drift = signs * step
+        np.divide(np.maximum(signs * beta, 0.0), -drift, out=times[2], where=drift < 0.0)
+        row, j = divmod(int(times.argmin()), d)
+        t = float(times[row, j])
+        if t >= mu - mu_end:
+            break
+        beta += t * step
+        mu -= t
+        if row < 2:
+            u = inv @ hess[j]
+            schur = hess[j, j] - hess[j] @ u
+            if schur <= 1e-10 * hess[j, j]:
+                # column j lies in the span of A's (a duplicate, say): it stays
+                # on the boundary, and cannot enter until a coordinate leaves
+                dependent[j] = True
+                continue
+            signs[j] = 1.0 if row == 0 else -1.0
+            u[j] = -1.0
+            inv += np.outer(u, u / schur)
+        else:
+            dependent[:] = False
+            signs[j] = beta[j] = 0.0
+            idx = np.flatnonzero(signs)
+            inv = np.zeros((d, d))
+            inv[np.ix_(idx, idx)] = np.linalg.inv(hess[np.ix_(idx, idx)])
+    idx = np.flatnonzero(signs)
+    beta = np.zeros(d)
+    beta[idx] = np.linalg.solve(hess[np.ix_(idx, idx)], corr[idx] - mu_end * signs[idx])
+    # a coordinate that meets μ_end exactly as it enters or leaves solves to ±rounding
+    return signs * np.maximum(signs * beta, 0.0)
 
 
 def predict(model: LinearModel, features) -> np.ndarray:

@@ -110,6 +110,29 @@ class TestRunErrors:
         assert captured.out == ""
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    def test_missing_out_directory_exits_1_before_any_experiment(self, tmp_path, synth_csv, capsys):
+        capsys.readouterr()
+        out = tmp_path / "missing" / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "no such directory" in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--runs", "2", "--k-max", "4", "--threads", "0", "--out", str(out)]
+        )
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["run", "--data", str(tmp_path / "nope.csv"), "--tasks", "3",

@@ -157,12 +157,9 @@ class TestNormalize:
         payload = params.to_json_dict()
         assert payload == {"a": {"mean": 1.5, "std": 0.5}, "b": {"mean": -2.0, "std": 3.0}}
         assert json.loads(json.dumps(payload)) == payload
-        back = NormalizationParams.from_json_dict(payload)
-        assert back.feature_names == params.feature_names
-        assert np.array_equal(back.means, params.means)
         path = tmp_path / "params.json"
         params.save(path)
-        assert NormalizationParams.load(path).to_json_dict() == payload
+        assert json.loads(path.read_text(encoding="utf-8")) == payload
 
 
 class TestSplit:
