@@ -8,15 +8,17 @@ diagnostics. Exit codes: 0 success, 1 data error, 2 argument error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
 import sys
 from pathlib import Path
 
-from .dataset import gen_synthetic, load_csv, normalize_features, split_train_test, write_csv, SplitConfig
+from .dataset import gen_synthetic, load_csv, normalize_features, write_csv
 from .harness import (
     ExperimentConfig,
+    _run_splits,
     read_curves_csv,
     run_experiment,
     saved_queries,
@@ -138,15 +140,9 @@ def _single_curve(path: str):
 
 
 def _write_rows(path: str | None, header, rows) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
+    with out as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def cmd_compare(args, parser) -> int:
@@ -229,19 +225,13 @@ def cmd_saved_queries(args, parser) -> int:
 def cmd_unique_queries(args, parser) -> int:
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
-    normalized = normalize_features(data)[0]
-    pool, _ = split_train_test(normalized, SplitConfig(args.train_fraction, args.seed))
+    mt_spec = parse_strategy({"gsy": "mt_gsy", "igs": "mt_igs"}[args.family])
+    cfg = ExperimentConfig(mt_spec, solver, args.train_fraction, runs=1, k_max=args.k_max, seed=args.seed)
+    pool, _, seed = next(_run_splits(data, cfg))  # run 0 of `alr run` with these options
 
-    k0 = k0_default(pool.n_features)
-    k_max = pool.n_samples if args.k_max is None else args.k_max
-    mt_kind = {"gsy": "mt_gsy", "igs": "mt_igs"}[args.family]
-    mt_seq = selection_sequence(pool, parse_strategy(mt_kind), solver, k_max=k_max, seed=args.seed)
-    st_seqs = [
-        selection_sequence(
-            pool, parse_strategy(f"{args.family}:task={p}"), solver, k_max=k_max, seed=args.seed
-        )
-        for p in range(pool.n_tasks)
-    ]
+    specs = [mt_spec] + [parse_strategy(f"{args.family}:task={p}") for p in range(pool.n_tasks)]
+    mt_seq, *st_seqs = [selection_sequence(pool, spec, solver, k_max=cfg.k_max, seed=seed) for spec in specs]
+    k0, k_max = k0_default(pool.n_features), len(mt_seq)
 
     rows = []
     for k in range(k0, k_max + 1):

@@ -13,6 +13,7 @@ Runs execute one after another and derive their seeds as
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from collections.abc import Iterator
@@ -231,26 +232,31 @@ def _aggregate(values: list[float]) -> CurveCell:
     return CurveCell(mean=float(good.mean()), std=std, n_runs=int(good.size))
 
 
-def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> LearningCurve:
-    """Aggregate cfg.runs independent runs, one after another, into a learning curve.
+def _run_splits(data: Dataset, cfg: ExperimentConfig) -> Iterator[tuple[Dataset, Dataset, int]]:
+    """(pool, test, seed) of run r = 0..cfg.runs-1; run r splits with seed ``cfg.seed ^ r``.
 
-    Run r splits with seed ``cfg.seed ^ r``. With
-    cfg.normalize_before_split the whole dataset is normalized once up
+    With cfg.normalize_before_split the whole dataset is normalized once up
     front; otherwise each run normalizes its pool and applies the pool
-    statistics to its test set. `threads` is accepted and ignored, but must
-    be >= 1.
+    statistics to its test set.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     base = normalize_features(data)[0] if cfg.normalize_before_split else data
-    results = []
     for r in range(cfg.runs):
-        run_seed = cfg.seed ^ r
-        pool, test = split_train_test(base, SplitConfig(cfg.train_fraction, run_seed))
+        seed = cfg.seed ^ r
+        pool, test = split_train_test(base, SplitConfig(cfg.train_fraction, seed))
         if not cfg.normalize_before_split:
             pool, params = normalize_features(pool)
             test = apply_normalization(test, params)
-        results.append(run_single(pool, test, cfg, seed=run_seed))
+        yield pool, test, seed
+
+
+def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> LearningCurve:
+    """Aggregate cfg.runs independent runs, one after another, into a learning curve.
+
+    Runs come from :func:`_run_splits`. `threads` is accepted and ignored, but must be >= 1.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    results = [run_single(pool, test, cfg, seed=seed) for pool, test, seed in _run_splits(data, cfg)]
 
     ks = tuple(rec.k for rec in results[0].records)
     for res in results[1:]:
@@ -260,40 +266,24 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
     task_names = data.task_names
     cells: dict = {}
     for ki, k in enumerate(ks):
-        for p, task in enumerate(task_names):
-            cells[("rmse", task, k)] = _aggregate([r.records[ki].rmse[p] for r in results])
-            cells[("cc", task, k)] = _aggregate([r.records[ki].cc[p] for r in results])
-            cells[("coef_mae", task, k)] = _aggregate(
-                [r.records[ki].coef_mae[p] for r in results]
-            )
-            cells[("label_std", task, k)] = _aggregate(
-                [r.records[ki].label_std[p] for r in results]
-            )
-            cells[("bl2_rmse", task, k)] = _aggregate([r.bl2_rmse[p] for r in results])
-            cells[("bl2_cc", task, k)] = _aggregate([r.bl2_cc[p] for r in results])
+        records = [r.records[ki] for r in results]
+        for metric in _METRIC_ORDER[:-1]:  # the per-task metrics; bl2_* are per run, not per K
+            per_run = [getattr(v, metric) for v in (results if metric.startswith("bl2_") else records)]
+            for p, task in enumerate(task_names):
+                cells[(metric, task, k)] = _aggregate([v[p] for v in per_run])
         if cfg.group_value is not None:
-            cells[("group_fraction", "all", k)] = _aggregate(
-                [r.records[ki].group_fraction for r in results]
-            )
+            cells[("group_fraction", "all", k)] = _aggregate([rec.group_fraction for rec in records])
 
+    strategy, solver = strategy_to_string(cfg.strategy), solver_to_string(cfg.solver)
     return LearningCurve(
-        strategy=strategy_to_string(cfg.strategy),
-        solver=solver_to_string(cfg.solver),
+        strategy=strategy,
+        solver=solver,
         task_names=task_names,
         ks=ks,
         cells=cells,
         n_runs=cfg.runs,
         nonconverged={k: sum(r.records[ki].nonconverged for r in results) for ki, k in enumerate(ks)},
-        config={
-            "strategy": strategy_to_string(cfg.strategy),
-            "solver": solver_to_string(cfg.solver),
-            "train_fraction": cfg.train_fraction,
-            "runs": cfg.runs,
-            "k_max": cfg.k_max,
-            "normalize_before_split": cfg.normalize_before_split,
-            "seed": cfg.seed,
-            "group_value": cfg.group_value,
-        },
+        config={**dataclasses.asdict(cfg), "strategy": strategy, "solver": solver},
     )
 
 

@@ -14,6 +14,7 @@ gsx is the input-space sampler of Yu & Kim, "Passive Sampling for
 Regression" (ICDM 2010); gsy samples one task's output space; igs balances
 diversity in both. The product is taken per labeled sample before the min,
 so rescaling one task rescales every score alike and no task dominates.
+D_x comes from a ledger that computes each labeled sample's distances once.
 
 The committee rules score the focus task t with B bootstrap refits f_b of
 its model (B = committee_size):
@@ -28,8 +29,9 @@ draws uniformly from the unlabeled set.
 :func:`select_next` is the only entry point; it applies the shared phase
 logic: the first pick is the sample closest to the feature centroid (greedy
 kinds) or a random draw (random/qbc/emcm); picks before the k0 threshold
-use input-space greedy sampling or random draws respectively; from k0
-onward each rule applies its own criterion. Ties always break toward the
+use input-space greedy sampling or random draws respectively (qbc and emcm
+also draw at random until two labels exist, which a bootstrap needs); from
+then on each rule applies its own criterion. Ties always break toward the
 smallest pool index.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+import numpy.random  # noqa: F401  NumPy 2 imports it on first use; import it with alr, not in a run
 
 from .dataset import Dataset
 from .regression import LinearModel, SolverConfig, fit, predict
@@ -135,8 +137,8 @@ class PoolState:
     """The active-learning ledger for one experiment run.
 
     Tracks the ordered labeled index list, the unlabeled remainder, the
-    per-task fitted models, and a seeded random stream used by the
-    random/qbc/emcm rules. Confined to a single run; advance it sequentially.
+    per-task models, the labeled samples' input distances and a seeded random
+    stream (random/qbc/emcm). Confined to a single run; advance it sequentially.
     """
 
     def __init__(self, pool: Dataset, rng=0, k0: int | None = None):
@@ -149,6 +151,9 @@ class PoolState:
         if self.k0 < 1:
             raise ValueError("k0 must be >= 1")
         self._models_k = -1
+        self._features_t = np.ascontiguousarray(pool.features.T)
+        self._distances = np.empty((0, pool.n_samples))
+        self._n_distances = 0
 
     @property
     def n_labeled(self) -> int:
@@ -189,6 +194,23 @@ class PoolState:
         self.models = models
         self._models_k = self.n_labeled
 
+    def _labeled_distances(self) -> np.ndarray:
+        """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K.
+
+        Summing down the C-contiguous d x n copy adds each pair's squares feature by feature; a
+        transposed view would sum them pairwise and change the last bits.
+        """
+        k, done = self.n_labeled, self._n_distances
+        if k > self._distances.shape[0]:
+            grown = np.empty((max(k, 2 * self._distances.shape[0]), self.pool.n_samples))
+            grown[:done] = self._distances[:done]
+            self._distances = grown
+        for m in range(done, k):
+            diff = self._features_t - self.pool.features[self.labeled[m], :, None]
+            self._distances[m] = np.sqrt((diff * diff).sum(axis=0))
+        self._n_distances = k
+        return self._distances[:k]
+
     def _require_models(self) -> list[LinearModel]:
         if self.models is None:
             raise ValueError("no fitted models; call fit_models() first")
@@ -200,19 +222,19 @@ class PoolState:
 def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tasks) -> np.ndarray:
     """The greedy score of each candidate, as in the module docstring.
 
-    The task gaps multiply left to right, then the input distance; the
-    floating-point scores depend on that order.
+    Factors are labeled x candidates. The task gaps multiply left to right,
+    then the input distance; the floating-point scores depend on that order.
     """
     candidates = state.pool.features[unlabeled]
     scores = None
     for t in tasks:
         preds = predict(state._require_models()[t], candidates)
-        gaps = np.abs(preds[:, None] - state.pool.labels[state.labeled, t][None, :])
+        gaps = np.abs(preds[None, :] - state.pool.labels[state.labeled, t][:, None])
         scores = gaps if scores is None else np.multiply(scores, gaps, out=scores)
     if use_input:
-        pairwise = cdist(candidates, state.pool.features[state.labeled])
-        scores = pairwise if scores is None else np.multiply(pairwise, scores, out=pairwise)
-    return scores.min(axis=1)
+        distances = state._labeled_distances().take(unlabeled, axis=1)
+        scores = distances if scores is None else np.multiply(distances, scores, out=distances)
+    return scores.min(axis=0)
 
 
 def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -229,8 +251,6 @@ def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpe
     Committee members are bootstrap refits that reuse the solver
     configuration of the fitted main model.
     """
-    if state.n_labeled < 2:
-        raise ValueError("labeled set too small to bootstrap (need >= 2 samples)")
     main = state._require_models()[task]
     X = state.pool.features[state.labeled]
     y = state.pool.labels[state.labeled, task]
@@ -275,7 +295,7 @@ def select_next(state: PoolState, spec: StrategySpec) -> int:
         else:
             use_input, tasks = spec.kind == "igs", (_resolve_focus_task(spec, state.pool.n_tasks),)
         scores = _greedy_scores(state, unlabeled, use_input, tasks)
-    elif spec.kind == "random" or k < state.k0:
+    elif spec.kind == "random" or k < max(state.k0, 2):  # a bootstrap needs two labels
         return int(unlabeled[state.rng.integers(unlabeled.size)])
     else:
         scores = _committee_scores(state, unlabeled, spec, _resolve_focus_task(spec, state.pool.n_tasks))

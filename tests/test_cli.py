@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,42 @@ class TestRunErrors:
              "--runs", "2", "--k-max", "4", "--out", str(out)]
         )
         assert code == 0
+
+
+class TestOneFeature:
+    @pytest.mark.parametrize("kind", ["qbc", "emcm"])
+    def test_committee_kinds_run_on_one_feature(self, tmp_path, kind, capsys):
+        # k0 = d = 1, and a bootstrap committee needs two labels
+        data = tmp_path / "d1.csv"
+        assert main(["synth", "--n", "40", "--d", "1", "--p", "1", "--seed", "2", "--out", str(data)]) == 0
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(data), "--tasks", "1", "--strategy", kind,
+             "--runs", "3", "--k-max", "6", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert sorted({int(row["K"]) for row in _rows(out)}) == [1, 2, 3, 4, 5, 6]
+
+
+class TestRuntimeDependencies:
+    def test_runs_without_scipy(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        # a None entry in sys.modules makes every `import scipy...` raise ImportError
+        prelude = "import sys; sys.modules['scipy'] = None; from alr.cli import main; sys.exit(main(sys.argv[1:]))"
+
+        def alr(*argv):
+            return subprocess.run([sys.executable, "-c", prelude, *argv], env=env, capture_output=True, text=True)
+
+        data = tmp_path / "data.csv"
+        synth = alr("synth", "--n", "60", "--d", "3", "--p", "2", "--seed", "1", "--out", str(data))
+        assert synth.returncode == 0, synth.stderr
+        run = alr(
+            "run", "--data", str(data), "--tasks", "2", "--strategy", "gsx", "--strategy", "igs:task=0",
+            "--strategy", "mt_igs", "--strategy", "qbc:task=0", "--runs", "2", "--k-max", "8",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestNonconvergence:

@@ -5,13 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial.distance import cdist
 
 import bruteforce
 from helpers import DUMMY_SOLVER, make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance
 
 from alr.harness import selection_sequence
-from alr.regression import LinearModel, SolverConfig
-from alr.strategies import PoolState, StrategySpec, k0_default, parse_strategy, select_next, strategy_to_string
+from alr.regression import LinearModel, SolverConfig, predict
+from alr.strategies import (
+    PoolState,
+    StrategySpec,
+    _greedy_scores,
+    k0_default,
+    parse_strategy,
+    select_next,
+    strategy_to_string,
+)
 
 RIDGE = SolverConfig("ridge", lam=1.0)
 
@@ -323,11 +332,13 @@ class TestQbc:
         clone.fit_models(SolverConfig("ridge", lam=1.0))
         assert select_next(clone, StrategySpec("qbc", focus_task=0)) == baseline
 
-    def test_too_few_labeled(self):
-        state = make_state([[1.0], [2.0], [3.0]], [[0.0]] * 3, labeled=[0])
+    @pytest.mark.parametrize("kind", ["qbc", "emcm"])
+    def test_one_label_draws_at_random(self, kind):
+        # at d = k0 = 1 a single label cannot be bootstrapped: the random phase lasts to K = 2
+        state = make_state([[1.0], [2.0], [3.0], [4.0]], [[0.0], [1.0], [2.0], [3.0]], labeled=[0], seed=4)
+        reference = make_state([[1.0], [2.0], [3.0], [4.0]], [[0.0]] * 4, labeled=[0], seed=4)
         state.fit_models(RIDGE)
-        with pytest.raises(ValueError, match="bootstrap"):
-            select_next(state, StrategySpec("qbc", focus_task=0))
+        assert select_next(state, StrategySpec(kind, focus_task=0)) == select_next(reference, StrategySpec("random"))
 
 
 class TestEmcm:
@@ -395,6 +406,46 @@ class TestPermutationEquivariance:
         permuted = selection_sequence(make_pool(features[perm], labels[perm]), spec, RIDGE)
         # row j of the permuted pool is row perm[j] of the original
         assert [int(perm[j]) for j in permuted] == original
+
+
+def _cdist_greedy_scores(state, unlabeled, use_input, tasks):
+    """Greedy scores from scipy's cdist, candidates x labeled, in the kernel's multiplication order."""
+    candidates = state.pool.features[unlabeled]
+    scores = None
+    for t in tasks:
+        gaps = np.abs(predict(state.models[t], candidates)[:, None] - state.pool.labels[state.labeled, t][None, :])
+        scores = gaps if scores is None else scores * gaps
+    if use_input:
+        distances = cdist(candidates, state.pool.features[state.labeled])
+        scores = distances if scores is None else distances * scores
+    return scores.min(axis=1)
+
+
+class TestDistanceLedger:
+    @pytest.mark.parametrize(
+        "seed, d, scale",
+        [(0, 1, 1e-150), (1, 1, 1e150), (2, 2, 1.0), (3, 7, 1e-40), (4, 13, 1e90), (5, 29, 3e-7),
+         (6, 60, 1e150), (7, 60, 1e-150)],
+    )
+    def test_scores_equal_cdist_across_queries_and_phases(self, seed, d, scale):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(d + 8, 2001)), int(rng.integers(1, 4))
+        pool = make_pool(rng.standard_normal((n, d)) * scale, rng.standard_normal((n, p)))
+        for kind, tasks in (("gsx", ()), ("igs", (0,)), ("mt_igs", range(p))):
+            spec = StrategySpec(kind, focus_task=0 if kind == "igs" else None)
+            state = PoolState(pool, rng=seed)
+            state.add(select_next(state, spec))  # the centroid pick
+            # warm-up rows of the ledger are reused by the criterion phase after k0
+            while state.n_labeled < d + 6:
+                phase_tasks = tasks if state.n_labeled >= state.k0 else ()
+                if phase_tasks:
+                    state.fit_models(RIDGE)
+                unlabeled = state.unlabeled_indices()
+                pick = select_next(state, spec)
+                reference = _cdist_greedy_scores(state, unlabeled, True, phase_tasks)
+                assert np.array_equal(_greedy_scores(state, unlabeled, True, phase_tasks), reference)
+                assert pick == unlabeled[np.argmax(reference)]
+                state.add(pick)
 
 
 class TestSelectNext:
