@@ -34,18 +34,17 @@ _DEFAULT_COMPARE_KS = "50,100,150,200,250"
 _DEFAULT_ALPHAS = "1,2,3,5,10"
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated integer list, got '{text}'") from None
+        raise ValueError(f"{flag} expects a comma-separated list of {kind.__name__} values, got '{text}'") from None
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects a comma-separated number list, got '{text}'") from None
+def _require_directory(flag: str, path) -> None:
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ValueError(f"{flag}: no such directory: {parent}")
 
 
 def _k_spans(ks: list[int]) -> str:
@@ -71,6 +70,9 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_normalize(args, parser) -> int:
+    _require_directory("--out", args.out)
+    if args.params_out:
+        _require_directory("--params-out", args.params_out)
     data = _load_dataset(args)
     normalized, params = normalize_features(data)
     write_csv(normalized, args.out, group_column=args.group_column or "group")
@@ -81,9 +83,7 @@ def cmd_normalize(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    out = Path(args.out)
-    if not out.parent.is_dir():
-        raise ValueError(f"--out: no such directory: {out.parent}")
+    _require_directory("--out", args.out)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
 
@@ -127,8 +127,8 @@ def cmd_run(args, parser) -> int:
             where = _k_spans([k for k, n in curve.nonconverged.items() if n])
             print(f"{curve.strategy}: {failed} of {fits} fits did not converge (K={where})", file=sys.stderr)
 
-    write_curves_csv(curves, out)
-    write_curves_json(curves, out.with_suffix(".json"))
+    write_curves_csv(curves, args.out)
+    write_curves_json(curves, Path(args.out).with_suffix(".json"))
     return 0
 
 
@@ -147,7 +147,7 @@ def _write_rows(path: str | None, header, rows) -> None:
 
 def cmd_compare(args, parser) -> int:
     baseline = _single_curve(args.baseline)
-    ks = _parse_int_list(args.k, "--k")
+    ks = _parse_list(args.k, "--k")
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
 
     rows = []
@@ -189,7 +189,7 @@ def cmd_compare(args, parser) -> int:
 
 def cmd_saved_queries(args, parser) -> int:
     reference = _single_curve(args.reference)
-    alphas = _parse_float_list(args.alpha, "--alpha")
+    alphas = _parse_list(args.alpha, "--alpha", float)
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
 
     rows = []
@@ -223,6 +223,7 @@ def cmd_saved_queries(args, parser) -> int:
 
 
 def cmd_unique_queries(args, parser) -> int:
+    _require_directory("--out", args.out)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     mt_spec = parse_strategy({"gsy": "mt_gsy", "igs": "mt_igs"}[args.family])
@@ -252,6 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="input CSV path")
+    data.add_argument("--tasks", type=int, required=True, help="number of label columns")
+    data.add_argument("--group-column", default=None)
+
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument(
+        "--solver", default="ridge", help="solver spec (e.g. ridge:lambda=10/k, lasso:lambda=0.001)"
+    )
+    experiment.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    experiment.add_argument("--train-fraction", type=float, default=ExperimentConfig.train_fraction)
+    experiment.add_argument(
+        "--k-max", type=int, default=ExperimentConfig.k_max, help="cap on queries (default: pool size)"
+    )
+
     p = sub.add_parser("synth", help="generate a synthetic linear-response dataset")
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--d", type=int, required=True, help="number of features")
@@ -261,30 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("normalize", help="normalize features to mean 0, std 1")
-    p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--tasks", type=int, required=True, help="number of label columns")
-    p.add_argument("--group-column", default=None)
+    p = sub.add_parser("normalize", parents=[data], help="normalize features to mean 0, std 1")
     p.add_argument("--out", required=True, help="normalized CSV path")
     p.add_argument("--params-out", default=None, help="JSON path for the (mean, std) pairs")
     p.set_defaults(handler=cmd_normalize)
 
-    p = sub.add_parser("run", help="run learning-curve experiments")
-    p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--tasks", type=int, required=True, help="number of label columns")
-    p.add_argument("--group-column", default=None)
+    p = sub.add_parser("run", parents=[data, experiment], help="run learning-curve experiments")
     p.add_argument(
         "--strategy",
         action="append",
         required=True,
-        help="strategy spec, repeatable (e.g. mt_igs, gsy:task=1, qbc:task=0,committee=4)",
+        help="strategy spec, repeatable (e.g. mt_igs, gsy:task=1, qbc:task=0,committee=8)",
     )
     p.add_argument("--focus-task", type=int, default=None, help="task index for single-task strategies")
-    p.add_argument("--solver", default="ridge", help="solver spec (e.g. ridge:lambda=10/k, lasso:lambda=0.001)")
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=None, help="cap on queries (default: pool size)")
-    p.add_argument("--train-fraction", type=float, default=0.3)
+    p.add_argument("--runs", type=int, default=ExperimentConfig.runs)
     p.add_argument(
         "--normalize-after-split",
         action="store_true",
@@ -314,16 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "unique-queries",
+        parents=[data, experiment],
         help="unique samples queried: multi-task vs per-task single-task runs",
     )
-    p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--tasks", type=int, required=True, help="number of label columns")
-    p.add_argument("--group-column", default=None)
     p.add_argument("--family", choices=("gsy", "igs"), required=True)
-    p.add_argument("--solver", default="ridge")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.3)
-    p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=cmd_unique_queries)
 

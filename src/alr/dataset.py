@@ -168,7 +168,7 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
     The last `task_count` numeric columns are the task labels; every other
     column except the optional `group_column` must be numeric and becomes a
     feature. Cells must be finite; violations are reported with their file
-    line and column name.
+    line and column name, a non-numeric cell ahead of any non-finite one.
     """
     path = Path(path)
     if task_count < 1:
@@ -202,28 +202,25 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
                 raise ValueError(
                     f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
                 )
+            if group_pos is not None:
+                groups.append(row.pop(group_pos).strip())
             values = []
-            for pos, cell in enumerate(row):
-                if pos == group_pos:
-                    groups.append(cell.strip())
-                    continue
+            for name, cell in zip(numeric_names, row):
                 try:
-                    value = float(cell)
+                    values.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: non-numeric value '{cell.strip()}' at line {line_no}, "
-                        f"column '{header[pos]}'"
+                        f"{path}: non-numeric value '{cell.strip()}' at line {line_no}, column '{name}'"
                     ) from None
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"{path}: non-finite value at line {line_no}, column '{header[pos]}'"
-                    )
-                values.append(value)
             rows.append(values)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]  # rows hold lines 2, 3, ... in order
+        raise ValueError(f"{path}: non-finite value at line {row + 2}, column '{numeric_names[col]}'")
     return Dataset(
         features=table[:, : -task_count],
         labels=table[:, -task_count:],

@@ -265,12 +265,15 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
 
     task_names = data.task_names
     cells: dict = {}
+    for metric in ("bl2_rmse", "bl2_cc"):  # per run, so one cell serves every K
+        for p, task in enumerate(task_names):
+            cell = _aggregate([getattr(r, metric)[p] for r in results])
+            cells.update(((metric, task, k), cell) for k in ks)
     for ki, k in enumerate(ks):
         records = [r.records[ki] for r in results]
-        for metric in _METRIC_ORDER[:-1]:  # the per-task metrics; bl2_* are per run, not per K
-            per_run = [getattr(v, metric) for v in (results if metric.startswith("bl2_") else records)]
+        for metric in ("rmse", "cc", "coef_mae", "label_std"):
             for p, task in enumerate(task_names):
-                cells[(metric, task, k)] = _aggregate([v[p] for v in per_run])
+                cells[(metric, task, k)] = _aggregate([getattr(rec, metric)[p] for rec in records])
         if cfg.group_value is not None:
             cells[("group_fraction", "all", k)] = _aggregate([rec.group_fraction for rec in records])
 
@@ -429,20 +432,20 @@ def read_curves_csv(path) -> list[LearningCurve]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != CURVE_CSV_HEADER:
-            raise ValueError(
-                f"{path}: expected header {','.join(CURVE_CSV_HEADER)}"
-            )
+            raise ValueError(f"{path}: expected header {','.join(CURVE_CSV_HEADER)}")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             strategy, solver, task, k, metric, mean, std, n_runs = row
-            entry = grouped.setdefault(
-                (strategy, solver), {"cells": {}, "tasks": [], "ks": set()}
-            )
+            try:
+                k, cell = int(k), CurveCell(mean=float(mean), std=float(std), n_runs=int(n_runs))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            entry = grouped.setdefault((strategy, solver), {"cells": {}, "tasks": [], "ks": set()})
             if task != "all" and task not in entry["tasks"]:
                 entry["tasks"].append(task)
-            entry["ks"].add(int(k))
-            entry["cells"][(metric, task, int(k))] = CurveCell(
-                mean=float(mean), std=float(std), n_runs=int(n_runs)
-            )
+            entry["ks"].add(k)
+            entry["cells"][(metric, task, k)] = cell
     curves = []
     for (strategy, solver), entry in grouped.items():
         n_runs = max((c.n_runs for c in entry["cells"].values()), default=0)

@@ -46,11 +46,12 @@ _SIDES = np.array([[1.0], [-1.0]])
 class SolverConfig:
     """Solver selection and penalty weights.
 
-    `lam` is the L1 weight for lasso/elastic_net and the L2 weight for ridge;
-    `lam2` is the extra L2 weight for elastic_net. When `lambda_over_k` is
-    "labeled", the effective penalty is lam / k with k the number of training
-    rows, recomputed at every fit; "budget" divides by a fixed query budget
-    and must be resolved with :func:`resolve_lambda` before fitting.
+    `lam` is the L1 weight for lasso/elastic_net and the L2 weight for ridge
+    (ols takes none); `lam2` is the extra L2 weight, for elastic_net only.
+    When `lambda_over_k` is "labeled", the effective penalty is lam / k with
+    k the number of training rows, recomputed at every fit; "budget" divides
+    by a fixed query budget and must be resolved with :func:`resolve_lambda`
+    before fitting.
     """
 
     kind: str
@@ -65,6 +66,10 @@ class SolverConfig:
             raise ValueError(f"unknown solver kind '{self.kind}', expected one of {SOLVER_KINDS}")
         if self.lam < 0 or self.lam2 < 0:
             raise ValueError("penalty weights must be nonnegative")
+        if self.kind == "ols" and (self.lam != 0.0 or self.lambda_over_k != "none"):
+            raise ValueError("ols takes no lambda")
+        if self.kind != "elastic_net" and self.lam2 != 0.0:
+            raise ValueError(f"{self.kind} takes no lambda2; only elastic_net does")
         if self.lambda_over_k not in LAMBDA_MODES:
             raise ValueError(f"lambda_over_k must be one of {LAMBDA_MODES}")
         if self.cd_tolerance <= 0:
@@ -278,6 +283,40 @@ _SOLVER_DEFAULTS = {
     "lasso": {"lam": 0.001},
     "elastic_net": {"lam": 0.0005, "lam2": 0.0005},
 }
+_PATH_OPTIONS = {"tol": "cd_tolerance", "max_iters": "cd_max_iters"}  # grammar key -> SolverConfig field
+_LAMBDA_SUFFIXES = {"budget": "/kmax", "labeled": "/k", "none": ""}  # longest suffix first
+
+
+def _parse_spec(text: str, what: str, keys) -> tuple[str, list[tuple[str, str]]]:
+    """Split a `kind[:key=value,...]` spec into its kind and its (key, value text) options."""
+    text = text.strip()
+    kind, _, rest = text.partition(":")
+    options = []
+    for item in rest.split(",") if rest else ():
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep or not value:
+            raise ValueError(f"malformed {what} option '{item}' in '{text}'")
+        if key not in keys:
+            raise ValueError(f"unknown {what} option '{key}' in '{text}'")
+        options.append((key, value))
+    return kind.strip(), options
+
+
+def _format_number(value) -> str:
+    """A float as `:g` when that reads back as the same float, else as repr, which always does."""
+    if isinstance(value, float):
+        short = f"{value:g}"
+        return short if float(short) == value else repr(value)
+    return str(value)
+
+
+def _format_spec(cfg, options: dict[str, str], always=()) -> str:
+    """The inverse of _parse_spec: `cfg.kind`, the (key, text) pairs in `always`, then each
+    field in `options` (grammar key -> field name) that differs from its dataclass default."""
+    parts = [f"{key}={text}" for key, text in always]
+    parts += [f"{key}={_format_number(getattr(cfg, name))}" for key, name in options.items()
+              if getattr(cfg, name) != getattr(type(cfg), name)]
+    return cfg.kind + (":" + ",".join(parts) if parts else "")
 
 
 def parse_solver(text: str) -> SolverConfig:
@@ -289,52 +328,30 @@ def parse_solver(text: str) -> SolverConfig:
     divides by the labeled count at each fit; "<x>/kmax" divides by the query
     budget.
     """
-    text = text.strip()
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
+    kind, options = _parse_spec(text, "solver", ("lambda", "lambda1", "lambda2", *_PATH_OPTIONS))
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver '{kind}', expected one of {SOLVER_KINDS}")
-    opts = dict(_SOLVER_DEFAULTS[kind])
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not value:
-                raise ValueError(f"malformed solver option '{item}' in '{text}'")
-            if key in ("lambda", "lambda1"):
-                opts.pop("lambda_over_k", None)
-                if value.endswith("/kmax"):
-                    opts["lam"] = float(value[: -len("/kmax")])
-                    opts["lambda_over_k"] = "budget"
-                elif value.endswith("/k"):
-                    opts["lam"] = float(value[: -len("/k")])
-                    opts["lambda_over_k"] = "labeled"
-                else:
-                    opts["lam"] = float(value)
-            elif key == "lambda2":
-                opts["lam2"] = float(value)
-            elif key == "tol":
-                opts["cd_tolerance"] = float(value)
-            elif key == "max_iters":
-                opts["cd_max_iters"] = int(value)
-            else:
-                raise ValueError(f"unknown solver option '{key}' in '{text}'")
-    return SolverConfig(kind=kind, **opts)
+    fields = dict(_SOLVER_DEFAULTS[kind])
+    for key, value in options:
+        if key == "lambda2":
+            fields["lam2"] = float(value)
+        elif key in _PATH_OPTIONS:
+            fields[_PATH_OPTIONS[key]] = int(value) if key == "max_iters" else float(value)
+        else:
+            mode, suffix = next((m, s) for m, s in _LAMBDA_SUFFIXES.items() if value.endswith(s))
+            fields.update(lam=float(value[: len(value) - len(suffix)]), lambda_over_k=mode)
+    return SolverConfig(kind=kind, **fields)
 
 
 def solver_to_string(cfg: SolverConfig) -> str:
-    """Canonical grammar string for a SolverConfig (inverse of parse_solver)."""
-    parts = []
-    if cfg.kind != "ols" or cfg.lam != 0.0:
-        suffix = {"none": "", "labeled": "/k", "budget": "/kmax"}[cfg.lambda_over_k]
+    """Canonical grammar string for a SolverConfig; parse_solver reads it back as `cfg`.
+
+    Penalized kinds always print their weights, as a bare kind reads back with the conventional ones.
+    """
+    weights = []
+    if cfg.kind != "ols":
         key = "lambda1" if cfg.kind == "elastic_net" else "lambda"
-        if not (cfg.kind == "ols" and cfg.lam == 0.0):
-            parts.append(f"{key}={cfg.lam:g}{suffix}")
+        weights.append((key, _format_number(cfg.lam) + _LAMBDA_SUFFIXES[cfg.lambda_over_k]))
     if cfg.kind == "elastic_net":
-        parts.append(f"lambda2={cfg.lam2:g}")
-    if cfg.cd_tolerance != 1e-6:
-        parts.append(f"tol={cfg.cd_tolerance:g}")
-    if cfg.cd_max_iters != 10000:
-        parts.append(f"max_iters={cfg.cd_max_iters}")
-    return cfg.kind + (":" + ",".join(parts) if parts else "")
+        weights.append(("lambda2", _format_number(cfg.lam2)))
+    return _format_spec(cfg, _PATH_OPTIONS, weights)

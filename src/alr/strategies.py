@@ -43,7 +43,7 @@ import numpy as np
 import numpy.random  # noqa: F401  NumPy 2 imports it on first use; import it with alr, not in a run
 
 from .dataset import Dataset
-from .regression import LinearModel, SolverConfig, fit, predict
+from .regression import LinearModel, SolverConfig, _format_spec, _parse_spec, fit, predict
 
 __all__ = [
     "GS_FAMILY",
@@ -95,37 +95,18 @@ class StrategySpec:
             raise ValueError("committee_size must be >= 2")
 
 
+_STRATEGY_OPTIONS = {"task": "focus_task", "committee": "committee_size"}  # grammar key -> field
+
+
 def parse_strategy(text: str) -> StrategySpec:
-    """Parse the strategy mini-grammar, e.g. "mt_igs", "gsy:task=1", "qbc:task=0,committee=4"."""
-    text = text.strip()
-    kind, _, rest = text.partition(":")
-    kind = kind.strip()
-    focus_task = None
-    committee = 4
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not value:
-                raise ValueError(f"malformed strategy option '{item}' in '{text}'")
-            if key == "task":
-                focus_task = int(value)
-            elif key == "committee":
-                committee = int(value)
-            else:
-                raise ValueError(f"unknown strategy option '{key}' in '{text}'")
-    return StrategySpec(kind=kind, focus_task=focus_task, committee_size=committee)
+    """Parse the strategy mini-grammar, e.g. "mt_igs", "gsy:task=1", "qbc:task=0,committee=8"."""
+    kind, options = _parse_spec(text, "strategy", _STRATEGY_OPTIONS)
+    return StrategySpec(kind, **{_STRATEGY_OPTIONS[key]: int(value) for key, value in options})
 
 
 def strategy_to_string(spec: StrategySpec) -> str:
-    """Canonical grammar string for a StrategySpec (inverse of parse_strategy)."""
-    parts = []
-    if spec.kind in SINGLE_TASK_KINDS and spec.focus_task is not None:
-        parts.append(f"task={spec.focus_task}")
-    if spec.kind in ("qbc", "emcm") and spec.committee_size != 4:
-        parts.append(f"committee={spec.committee_size}")
-    return spec.kind + (":" + ",".join(parts) if parts else "")
+    """Canonical grammar string for a StrategySpec; parse_strategy reads it back as `spec`."""
+    return _format_spec(spec, _STRATEGY_OPTIONS)
 
 
 def _fit_all_tasks(features: np.ndarray, labels: np.ndarray, solver: SolverConfig) -> list[LinearModel]:

@@ -68,6 +68,16 @@ class TestSynthAndNormalize:
         mean_x1 = sum(float(r["x1"]) for r in rows) / len(rows)
         assert abs(mean_x1) < 1e-12
 
+    def test_missing_params_directory_writes_nothing(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "norm.csv"
+        params = tmp_path / "missing" / "params.json"
+        code = main(
+            ["normalize", "--data", str(synth_csv), "--tasks", "3", "--out", str(out), "--params-out", str(params)]
+        )
+        assert code == 1
+        assert f"--params-out: no such directory: {params.parent}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_normalize_preserves_group_column_name(self, tmp_path):
         data = tmp_path / "g.csv"
         data.write_text("f1,gender,v\n1.0,m,0.1\n2.0,f,0.2\n3.0,m,0.3\n")
@@ -150,14 +160,18 @@ class TestRunErrors:
             main(["run", "--tasks", "3", "--strategy", "mt_igs", "--out", "x.csv"])
         assert exc.value.code == 2
 
-    def test_threads_env_var_fallback(self, tmp_path, synth_csv, monkeypatch):
-        monkeypatch.setenv("ALR_THREADS", "2")
+    @pytest.mark.parametrize(
+        "solver, message", [("ols:lambda=2", "ols takes no lambda"), ("lasso:lambda2=0.5", "lasso takes no lambda2")]
+    )
+    def test_ignored_solver_option_exits_1(self, tmp_path, synth_csv, capsys, solver, message):
         out = tmp_path / "c.csv"
         code = main(
-            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "gsx",
-             "--runs", "2", "--k-max", "4", "--out", str(out)]
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--solver", solver, "--runs", "2", "--k-max", "4", "--out", str(out)]
         )
-        assert code == 0
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOneFeature:
@@ -297,6 +311,25 @@ class TestCompare:
         assert code == 1
         assert "75" in capsys.readouterr().err
 
+    def test_short_row_cites_file_and_line(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        with baseline.open("a", encoding="utf-8") as fh:
+            fh.write("random,ridge:lambda=10/k,v,60,rmse\n")
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(baseline), "--k", "50"])
+        assert code == 1
+        assert f"error: {baseline}: line 4 has 5 cells, expected 8" in capsys.readouterr().err
+
+    def test_non_numeric_mean_cites_file_and_line(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        candidate = tmp_path / "gsx.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        _write_curve_csv(candidate, "gsx", {"rmse": {50: "x"}}, {"bl2_rmse": 0.2})
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(candidate), "--k", "50"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {candidate}: line 2: " in err and "'x'" in err
+
     def test_baseline_missing_measure_exits_1(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"
         candidate = tmp_path / "gsx.csv"
@@ -375,6 +408,15 @@ class TestUniqueQueries:
         assert code == 0
         for row in _rows(out):
             assert row["mt_unique"] == row["st_union"] == row["K"]
+
+    def test_missing_out_directory_exits_1(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "missing" / "uq.csv"
+        code = main(
+            ["unique-queries", "--data", str(synth_csv), "--tasks", "3", "--family", "igs",
+             "--k-max", "10", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"--out: no such directory: {out.parent}" in capsys.readouterr().err
 
     def test_multitask_bounds(self, tmp_path, synth_csv):
         out = tmp_path / "uq.csv"

@@ -62,6 +62,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-finite.*line 2.*f2"):
             load_csv(_write(tmp_path, text), task_count=1)
 
+    def test_non_finite_cell_past_group_column_cites_location(self, tmp_path):
+        text = "f1,gender,f2,v\n1.0,m,2.0,0.1\n3.0,f,-inf,0.2\n"
+        with pytest.raises(ValueError, match="non-finite value at line 3, column 'f2'"):
+            load_csv(_write(tmp_path, text), task_count=1, group_column="gender")
+
     def test_too_few_numeric_columns(self, tmp_path):
         text = "a,b,c\n1,2,3\n"
         with pytest.raises(ValueError, match="at least 4 numeric columns"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from alr.regression import (
+    SOLVER_KINDS,
     LinearModel,
     SolverConfig,
     coefficient_mae,
@@ -306,6 +307,30 @@ class TestValidation:
             SolverConfig("lasso", cd_tolerance=0.0)
 
 
+# floats of every magnitude, and ones whose shortest repr takes all 17 significant digits
+_SEVENTEEN_DIGITS = st.builds(
+    lambda m, e: float(f"{m}e{e}"), st.integers(10**16, 10**17 - 1), st.integers(-30, 5)
+)
+_WEIGHTS = st.floats(min_value=0.0, max_value=1e300) | _SEVENTEEN_DIGITS
+_TOLERANCES = st.floats(min_value=0.0, max_value=1.0, exclude_min=True) | _SEVENTEEN_DIGITS
+
+
+@st.composite
+def _solver_configs(draw):
+    kind = draw(st.sampled_from(SOLVER_KINDS))
+    fields = {}
+    if kind != "ols":
+        fields["lam"] = draw(_WEIGHTS)
+        fields["lambda_over_k"] = draw(st.sampled_from(("none", "labeled", "budget")))
+    if kind == "elastic_net":
+        fields["lam2"] = draw(_WEIGHTS)
+    if draw(st.booleans()):
+        fields["cd_tolerance"] = draw(_TOLERANCES)
+    if draw(st.booleans()):
+        fields["cd_max_iters"] = draw(st.integers(1, 10**9))
+    return SolverConfig(kind, **fields)
+
+
 class TestSolverGrammar:
     def test_defaults(self):
         ridge = parse_solver("ridge")
@@ -325,8 +350,32 @@ class TestSolverGrammar:
         assert cfg.cd_tolerance == 1e-8 and cfg.cd_max_iters == 500
 
     def test_roundtrip(self):
+        # includes the benchmark's solvers: their printed specs label every curve row
         for text in ("ols", "ridge:lambda=10/k", "lasso:lambda=0.001", "elastic_net:lambda1=0.0005,lambda2=0.0005"):
             assert solver_to_string(parse_solver(text)) == text
+
+    def test_printed_lambda_keeps_every_digit(self):
+        assert solver_to_string(parse_solver("ridge:lambda=0.123456789")) == "ridge:lambda=0.123456789"
+        assert solver_to_string(SolverConfig("lasso", lam=0.1 + 0.2)) == "lasso:lambda=0.30000000000000004"
+        assert solver_to_string(parse_solver("ridge:lambda=0")) == "ridge:lambda=0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_solver_configs())
+    def test_parse_inverts_print(self, cfg):
+        assert parse_solver(solver_to_string(cfg)) == cfg
+
+    def test_ignored_options_rejected(self):
+        for fields in ({"lam": 2.0}, {"lambda_over_k": "labeled"}, {"lambda_over_k": "budget"}):
+            with pytest.raises(ValueError, match="ols takes no lambda"):
+                SolverConfig("ols", **fields)
+        for kind in ("ols", "ridge", "lasso"):
+            with pytest.raises(ValueError, match="takes no lambda2"):
+                SolverConfig(kind, lam2=0.5)
+        with pytest.raises(ValueError, match="ols takes no lambda"):
+            parse_solver("ols:lambda=2")
+        with pytest.raises(ValueError, match="lasso takes no lambda2"):
+            parse_solver("lasso:lambda2=0.5")
+        assert parse_solver("ols:lambda=0") == SolverConfig("ols")
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown solver"):

@@ -13,6 +13,7 @@ from helpers import DUMMY_SOLVER, make_pool, make_state, oracle_models, pool_as_
 from alr.harness import selection_sequence
 from alr.regression import LinearModel, SolverConfig, predict
 from alr.strategies import (
+    STRATEGY_KINDS,
     PoolState,
     StrategySpec,
     _greedy_scores,
@@ -573,8 +574,22 @@ class TestStrategyGrammar:
         )
 
     def test_roundtrip(self):
-        for text in ("mt_igs", "gsy:task=1", "qbc:task=0", "emcm:task=2,committee=6"):
+        # the eight c5 benchmark strategies come first: their printed specs label every curve row
+        for text in ("random", "gsx", "gsy:task=0", "igs:task=0", "mt_gsy", "mt_igs", "qbc:task=0", "emcm:task=0",
+                     "gsy:task=1", "emcm:task=2,committee=6"):
             assert strategy_to_string(parse_strategy(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            StrategySpec,
+            st.sampled_from(STRATEGY_KINDS),
+            st.none() | st.integers(0, 10**6),
+            st.integers(2, 10**6),
+        )
+    )
+    def test_parse_inverts_print(self, spec):
+        assert parse_strategy(strategy_to_string(spec)) == spec
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown strategy kind"):
