@@ -97,11 +97,12 @@ def _task_metrics(models, test: Dataset) -> tuple[list[float], list[float]]:
 
 def _queries(
     pool: Dataset, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seed: int
-) -> Iterator[tuple[PoolState, SolverConfig]]:
+) -> Iterator[PoolState]:
     """The query loop: label one pool sample per step and refit every task from k0 on.
 
-    Yields (state, solver) after each refit, K = k0..k_max; solver has any
-    budget-scaled lambda resolved against k_max.
+    Yields the state after each refit, K = k0..k_max. A budget-scaled lambda
+    is resolved against k_max before the first fit, so state.solver holds the
+    solver every fit of the run used.
     """
     state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     k_max = pool.n_samples if k_max is None else k_max
@@ -109,13 +110,12 @@ def _queries(
         raise ValueError(
             f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
         )
-    if solver.lambda_over_k == "budget":
-        solver = resolve_lambda(solver, budget=k_max)
+    solver = resolve_lambda(solver, budget=k_max)
     while state.n_labeled < k_max:
         state.add(select_next(state, strategy))
         if state.n_labeled >= state.k0:
             state.fit_models(solver)
-            yield state, solver
+            yield state
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -136,9 +136,9 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
         seed = cfg.seed
 
     records: list[MetricRecord] = []
-    for state, solver in _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, seed):
+    for state in _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, seed):
         if not records:  # the reference fit needs the solver as the loop resolved it
-            reference = _fit_all_tasks(pool.features, pool.labels, solver)
+            reference = _fit_all_tasks(pool.features, pool.labels, state.solver)
             bl2_rmse, bl2_cc = _task_metrics(reference, test)
         rmse_v, cc_v = _task_metrics(state.models, test)
         mae_v = [coefficient_mae(m, ref) for m, ref in zip(state.models, reference)]
@@ -178,7 +178,7 @@ def selection_sequence(
     seed: int = 0,
 ) -> list[int]:
     """The ordered query sequence a strategy produces on a fixed pool (run_single's loop)."""
-    for state, _ in _queries(pool, strategy, solver, k_max, seed):
+    for state in _queries(pool, strategy, solver, k_max, seed):
         pass
     return list(state.labeled)
 
@@ -309,6 +309,8 @@ def saved_queries(
     """
     if measure not in ("rmse", "cc"):
         raise ValueError("measure must be 'rmse' or 'cc'")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if curve_a.ks != curve_ref.ks or curve_a.task_names != curve_ref.task_names:
         raise ValueError("curves have mismatched K axes or task sets")
 

@@ -20,8 +20,9 @@ guard: a fit is converged when the KKT residual is at most 10·tol.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,10 +49,11 @@ class SolverConfig:
 
     `lam` is the L1 weight for lasso/elastic_net and the L2 weight for ridge
     (ols takes none); `lam2` is the extra L2 weight, for elastic_net only.
-    When `lambda_over_k` is "labeled", the effective penalty is lam / k with
-    k the number of training rows, recomputed at every fit; "budget" divides
-    by a fixed query budget and must be resolved with :func:`resolve_lambda`
-    before fitting.
+    When `lambda_over_k` is "labeled", :func:`fit` applies lam / k with k the
+    number of training rows; "budget" divides by a fixed query budget and
+    must be resolved with :func:`resolve_lambda` before fitting. The path
+    settings `cd_tolerance` and `cd_max_iters` act on lasso and elastic_net
+    only, so ols and ridge keep their defaults.
     """
 
     kind: str
@@ -64,32 +66,32 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.kind not in SOLVER_KINDS:
             raise ValueError(f"unknown solver kind '{self.kind}', expected one of {SOLVER_KINDS}")
-        if self.lam < 0 or self.lam2 < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        for name, value in (("lambda", self.lam), ("lambda2", self.lam2)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{self.kind} {name} must be finite and nonnegative, got {value}")
         if self.kind == "ols" and (self.lam != 0.0 or self.lambda_over_k != "none"):
             raise ValueError("ols takes no lambda")
         if self.kind != "elastic_net" and self.lam2 != 0.0:
             raise ValueError(f"{self.kind} takes no lambda2; only elastic_net does")
         if self.lambda_over_k not in LAMBDA_MODES:
             raise ValueError(f"lambda_over_k must be one of {LAMBDA_MODES}")
-        if self.cd_tolerance <= 0:
-            raise ValueError("cd_tolerance must be positive")
+        if not 0.0 < self.cd_tolerance < math.inf:
+            raise ValueError(f"{self.kind} tol must be finite and positive, got {self.cd_tolerance}")
         if self.cd_max_iters < 1:
-            raise ValueError("cd_max_iters must be >= 1")
+            raise ValueError(f"{self.kind} max_iters must be >= 1")
+        if self.kind in ("ols", "ridge") and (self.cd_tolerance, self.cd_max_iters) != (
+            SolverConfig.cd_tolerance, SolverConfig.cd_max_iters
+        ):
+            raise ValueError(f"{self.kind} takes no tol or max_iters; only lasso and elastic_net do")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Fitted coefficients and intercept for one task, plus the solver used.
-
-    `solver` records the resolved configuration (any dynamic lambda replaced
-    by the effective value actually applied).
-    """
+    """Fitted coefficients and intercept for one task, and whether the fit converged."""
 
     coefficients: np.ndarray
     intercept: float
-    solver: SolverConfig
-    converged: bool = True
+    converged: bool = field(default=True, kw_only=True)
 
     def __post_init__(self) -> None:
         coef = np.array(self.coefficients, dtype=float).ravel()
@@ -104,19 +106,15 @@ class LinearModel:
         return self.coefficients.size
 
 
-def resolve_lambda(cfg: SolverConfig, *, k: int | None = None, budget: int | None = None) -> SolverConfig:
-    """Replace a dynamic lambda with its effective fixed value.
+def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
+    """Replace a budget-scaled lambda with its fixed value lam / budget.
 
-    "labeled" mode needs `k`, the current labeled count; "budget" mode needs
-    `budget`. Configs with a fixed lambda pass through unchanged.
+    Other configs pass through unchanged: :func:`fit` divides a labeled-count
+    lambda by the number of rows it is given.
     """
-    if cfg.lambda_over_k == "none":
+    if cfg.lambda_over_k != "budget":
         return cfg
-    if cfg.lambda_over_k == "labeled":
-        if k is None or k < 1:
-            raise ValueError("labeled-count lambda needs k >= 1")
-        return replace(cfg, lam=cfg.lam / k, lambda_over_k="none")
-    if budget is None or budget < 1:
+    if budget < 1:
         raise ValueError("budget-scaled lambda needs budget >= 1")
     return replace(cfg, lam=cfg.lam / budget, lambda_over_k="none")
 
@@ -124,11 +122,12 @@ def resolve_lambda(cfg: SolverConfig, *, k: int | None = None, budget: int | Non
 def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     """Fit one linear model to (features, targets) under `cfg`.
 
-    Centering handles the intercept, so the penalty never touches it. OLS on
-    a rank-deficient design falls back to the minimum-norm solution. A
-    LASSO or elastic-net fit whose KKT residual exceeds 10·cd_tolerance (its
-    path cut at cd_max_iters steps, say) has converged=False and emits a
-    warning.
+    The penalty applied is cfg.lam, or cfg.lam / k on k rows when
+    cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
+    penalty never touches it. OLS on a rank-deficient design falls back to
+    the minimum-norm solution. A LASSO or elastic-net fit whose KKT residual
+    exceeds 10·cd_tolerance (its path cut at cd_max_iters steps, say) has
+    converged=False and emits a warning.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -147,15 +146,15 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
         raise ValueError(
             "budget-scaled lambda must be resolved with resolve_lambda() before fitting"
         )
-    cfg = resolve_lambda(cfg, k=k)
+    lam = cfg.lam / k if cfg.lambda_over_k == "labeled" else cfg.lam
 
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
     yc = y - y_mean
 
-    l1 = cfg.lam if cfg.kind in ("lasso", "elastic_net") else 0.0
-    l2 = {"ridge": cfg.lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
+    l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
+    l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
     converged = True
     if l1 == 0.0 and l2 == 0.0:
         beta = np.linalg.lstsq(Xc, yc, rcond=None)[0]
@@ -177,7 +176,7 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
             )
 
     intercept = y_mean - x_mean @ beta
-    return LinearModel(coefficients=beta, intercept=intercept, solver=cfg, converged=converged)
+    return LinearModel(coefficients=beta, intercept=intercept, converged=converged)
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray, l1: float, l2: float) -> float:
@@ -287,8 +286,9 @@ _PATH_OPTIONS = {"tol": "cd_tolerance", "max_iters": "cd_max_iters"}  # grammar 
 _LAMBDA_SUFFIXES = {"budget": "/kmax", "labeled": "/k", "none": ""}  # longest suffix first
 
 
-def _parse_spec(text: str, what: str, keys) -> tuple[str, list[tuple[str, str]]]:
-    """Split a `kind[:key=value,...]` spec into its kind and its (key, value text) options."""
+def _parse_spec(text: str, what: str, converters: dict) -> tuple[str, list[tuple[str, object]]]:
+    """Split a `kind[:key=value,...]` spec into its kind and its (key, value) options, each
+    value read from its text by `converters[key]`."""
     text = text.strip()
     kind, _, rest = text.partition(":")
     options = []
@@ -296,10 +296,23 @@ def _parse_spec(text: str, what: str, keys) -> tuple[str, list[tuple[str, str]]]
         key, sep, value = (part.strip() for part in item.partition("="))
         if not sep or not value:
             raise ValueError(f"malformed {what} option '{item}' in '{text}'")
-        if key not in keys:
+        if key not in converters:
             raise ValueError(f"unknown {what} option '{key}' in '{text}'")
-        options.append((key, value))
+        try:
+            options.append((key, converters[key](value)))
+        except ValueError:
+            expected = "an integer" if converters[key] is int else "a number"
+            raise ValueError(f"{what} option '{key}' in '{text}' expects {expected}, got '{value}'") from None
     return kind.strip(), options
+
+
+def _lambda_value(text: str) -> tuple[float, str]:
+    """A lambda and its scaling mode: "10/k" reads as (10.0, "labeled")."""
+    mode, suffix = next((m, s) for m, s in _LAMBDA_SUFFIXES.items() if text.endswith(s))
+    return float(text[: len(text) - len(suffix)]), mode
+
+
+_SOLVER_OPTIONS = {"lambda": _lambda_value, "lambda1": _lambda_value, "lambda2": float, "tol": float, "max_iters": int}
 
 
 def _format_number(value) -> str:
@@ -324,22 +337,22 @@ def parse_solver(text: str) -> SolverConfig:
 
     Bare kinds get their conventional defaults (ridge: lambda=10/k, lasso:
     lambda=0.001, elastic_net: lambda1=lambda2=0.0005). Recognized keys:
-    lambda/lambda1, lambda2, tol, max_iters. A lambda of the form "<x>/k"
+    lambda/lambda1, lambda2, tol, max_iters (the last two for lasso and
+    elastic_net only). A lambda of the form "<x>/k"
     divides by the labeled count at each fit; "<x>/kmax" divides by the query
     budget.
     """
-    kind, options = _parse_spec(text, "solver", ("lambda", "lambda1", "lambda2", *_PATH_OPTIONS))
+    kind, options = _parse_spec(text, "solver", _SOLVER_OPTIONS)
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver '{kind}', expected one of {SOLVER_KINDS}")
     fields = dict(_SOLVER_DEFAULTS[kind])
     for key, value in options:
-        if key == "lambda2":
-            fields["lam2"] = float(value)
-        elif key in _PATH_OPTIONS:
-            fields[_PATH_OPTIONS[key]] = int(value) if key == "max_iters" else float(value)
+        if key in _PATH_OPTIONS:
+            fields[_PATH_OPTIONS[key]] = value
+        elif key == "lambda2":
+            fields["lam2"] = value
         else:
-            mode, suffix = next((m, s) for m, s in _LAMBDA_SUFFIXES.items() if value.endswith(s))
-            fields.update(lam=float(value[: len(value) - len(suffix)]), lambda_over_k=mode)
+            fields["lam"], fields["lambda_over_k"] = value
     return SolverConfig(kind=kind, **fields)
 
 

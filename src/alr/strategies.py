@@ -100,8 +100,8 @@ _STRATEGY_OPTIONS = {"task": "focus_task", "committee": "committee_size"}  # gra
 
 def parse_strategy(text: str) -> StrategySpec:
     """Parse the strategy mini-grammar, e.g. "mt_igs", "gsy:task=1", "qbc:task=0,committee=8"."""
-    kind, options = _parse_spec(text, "strategy", _STRATEGY_OPTIONS)
-    return StrategySpec(kind, **{_STRATEGY_OPTIONS[key]: int(value) for key, value in options})
+    kind, options = _parse_spec(text, "strategy", dict.fromkeys(_STRATEGY_OPTIONS, int))
+    return StrategySpec(kind, **{_STRATEGY_OPTIONS[key]: value for key, value in options})
 
 
 def strategy_to_string(spec: StrategySpec) -> str:
@@ -118,8 +118,9 @@ class PoolState:
     """The active-learning ledger for one experiment run.
 
     Tracks the ordered labeled index list, the unlabeled remainder, the
-    per-task models, the labeled samples' input distances and a seeded random
-    stream (random/qbc/emcm). Confined to a single run; advance it sequentially.
+    per-task models and the solver that fitted them, the labeled samples'
+    input distances and a seeded random stream (random/qbc/emcm). Confined to
+    a single run; advance it sequentially.
     """
 
     def __init__(self, pool: Dataset, rng=0, k0: int | None = None):
@@ -127,6 +128,7 @@ class PoolState:
         self.labeled: list[int] = []
         self._is_labeled = np.zeros(pool.n_samples, dtype=bool)
         self.models: list[LinearModel] | None = None
+        self.solver: SolverConfig | None = None
         self.rng = np.random.default_rng(rng)
         self.k0 = k0_default(pool.n_features) if k0 is None else int(k0)
         if self.k0 < 1:
@@ -155,7 +157,7 @@ class PoolState:
         self._is_labeled[index] = True
 
     def fit_models(self, solver: SolverConfig) -> None:
-        """Refit all per-task models from scratch on the current labeled set."""
+        """Refit all per-task models from scratch on the current labeled set, and keep `solver`."""
         if self.n_labeled < self.k0:
             raise ValueError(
                 f"need at least k0={self.k0} labeled samples to fit models, "
@@ -163,6 +165,7 @@ class PoolState:
             )
         rows = self.labeled
         self.models = _fit_all_tasks(self.pool.features[rows], self.pool.labels[rows], solver)
+        self.solver = solver
         self._models_k = self.n_labeled
 
     def set_models(self, models) -> None:
@@ -229,17 +232,18 @@ def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
 def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpec, task: int) -> np.ndarray:
     """The qbc or emcm score of each candidate, as in the module docstring.
 
-    Committee members are bootstrap refits that reuse the solver
-    configuration of the fitted main model.
+    Committee members are bootstrap refits under the run's solver, `state.solver`.
     """
     main = state._require_models()[task]
+    if state.solver is None:  # models installed by set_models() alone
+        raise ValueError(f"{spec.kind} refits its committee with the run's solver; call fit_models() first")
     X = state.pool.features[state.labeled]
     y = state.pool.labels[state.labeled, task]
     candidates = state.pool.features[unlabeled]
     boot = np.empty((spec.committee_size, unlabeled.size))
     for b in range(spec.committee_size):
         idx = _bootstrap_indices(state.rng, state.n_labeled)
-        boot[b] = predict(fit(X[idx], y[idx], main.solver), candidates)
+        boot[b] = predict(fit(X[idx], y[idx], state.solver), candidates)
     if spec.kind == "qbc":
         return boot.var(axis=0)
     mean_gap = np.abs(predict(main, candidates)[None, :] - boot).mean(axis=0)

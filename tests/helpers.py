@@ -6,8 +6,6 @@ from alr.dataset import Dataset
 from alr.regression import SolverConfig, fit
 from alr.strategies import PoolState
 
-DUMMY_SOLVER = SolverConfig("ols")
-
 
 def make_pool(features, labels):
     features = np.atleast_2d(np.asarray(features, dtype=float))

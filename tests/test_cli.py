@@ -161,7 +161,17 @@ class TestRunErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "solver, message", [("ols:lambda=2", "ols takes no lambda"), ("lasso:lambda2=0.5", "lasso takes no lambda2")]
+        "solver, message",
+        [
+            ("ols:lambda=2", "ols takes no lambda"),
+            ("lasso:lambda2=0.5", "lasso takes no lambda2"),
+            ("ridge:lambda=nan", "ridge lambda must be finite and nonnegative, got nan"),
+            ("ridge:lambda=inf", "ridge lambda must be finite and nonnegative, got inf"),
+            ("lasso:tol=nan", "lasso tol must be finite and positive, got nan"),
+            ("ridge:lambda=1,tol=1e-3", "ridge takes no tol or max_iters"),
+            ("ridge:lambda=abc", "solver option 'lambda' in 'ridge:lambda=abc' expects a number, got 'abc'"),
+            ("lasso:max_iters=1.5", "solver option 'max_iters' in 'lasso:max_iters=1.5' expects an integer"),
+        ],
     )
     def test_ignored_solver_option_exits_1(self, tmp_path, synth_csv, capsys, solver, message):
         out = tmp_path / "c.csv"
@@ -170,7 +180,9 @@ class TestRunErrors:
              "--solver", solver, "--runs", "2", "--k-max", "4", "--out", str(out)]
         )
         assert code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Warning" not in err
         assert not out.exists()
 
 
@@ -382,6 +394,18 @@ class TestSavedQueries:
         assert code == 0
         row = _rows(out)[0]
         assert row["k_curve"] == "" and row["saving_pct"] == ""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_1(self, tmp_path, capsys, alpha):
+        reference = tmp_path / "ref.csv"
+        _write_curve_csv(reference, "random", {"rmse": {5: 0.21, 6: 0.201}}, {"bl2_rmse": 0.2})
+        out = tmp_path / "saved.csv"
+        code = main(
+            ["saved-queries", "--curves", str(reference), "--reference", str(reference),
+             "--alpha", f"1,{alpha}", "--measure", "rmse", "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: alpha must be finite, got {alpha}" in capsys.readouterr().err
 
     def test_reference_missing_full_pool_row_exits_1(self, tmp_path, capsys):
         reference = tmp_path / "ref.csv"

@@ -242,6 +242,17 @@ class TestSharedQueryLoop:
         expected = selection_sequence(pool, cfg.strategy, cfg.solver, k_max=k_max, seed=seed)
         assert result.selection == tuple(expected)
 
+    @pytest.mark.parametrize("kind", ("qbc", "emcm"))
+    @pytest.mark.parametrize("seed", (3, 11))
+    def test_committee_refits_apply_the_budget_lambda(self, kind, seed):
+        # bootstrap members refit with lambda = 10/K_max, exactly as the main models do
+        pool, _ = _split_synthetic(n=60, d=3, p=1, noise=0.5, seed=seed)
+        k_max = 12
+        fixed = parse_solver(f"ridge:lambda={10 / k_max!r}")
+        strategy = parse_strategy(f"{kind}:task=0")
+        budget_seq = selection_sequence(pool, strategy, RIDGE_10_KMAX, k_max=k_max, seed=seed)
+        assert budget_seq == selection_sequence(pool, strategy, fixed, k_max=k_max, seed=seed)
+
 
 class TestUniqueQueries:
     def test_identical_sequences(self):

@@ -106,8 +106,6 @@ class TestRidge:
         dynamic = fit(X, y, SolverConfig("ridge", lam=10.0, lambda_over_k="labeled"))
         fixed = fit(X, y, SolverConfig("ridge", lam=0.5))
         assert np.allclose(dynamic.coefficients, fixed.coefficients, atol=1e-14)
-        assert dynamic.solver.lam == 0.5
-        assert dynamic.solver.lambda_over_k == "none"
 
     def test_budget_lambda_needs_resolution(self):
         X, y = _random_problem(0)
@@ -243,8 +241,14 @@ class TestLassoPathOracle:
 
 
 class TestPredict:
+    def test_converged_is_keyword_only(self):
+        # a third positional argument (the solver a model once carried) must not bind to converged
+        with pytest.raises(TypeError):
+            LinearModel([1.0], 0.0, SolverConfig("ols"))
+        assert not LinearModel([1.0], 0.0, converged=False).converged
+
     def test_constant_model(self):
-        model = LinearModel([0.0, 0.0], 3.5, SolverConfig("ols"))
+        model = LinearModel([0.0, 0.0], 3.5)
         assert np.array_equal(predict(model, [[1, 2], [8, 9]]), [3.5, 3.5])
 
     def test_recovers_training_targets(self):
@@ -253,35 +257,35 @@ class TestPredict:
         assert np.abs(predict(model, X) - y).max() < 1e-8
 
     def test_dot_product(self):
-        model = LinearModel([1.0, 2.0], 0.0, SolverConfig("ols"))
+        model = LinearModel([1.0, 2.0], 0.0)
         assert predict(model, [[3.0, 4.0]])[0] == pytest.approx(11.0)
 
     def test_dimension_mismatch(self):
-        model = LinearModel([1.0, 2.0], 0.0, SolverConfig("ols"))
+        model = LinearModel([1.0, 2.0], 0.0)
         with pytest.raises(ValueError, match="features"):
             predict(model, [[1.0, 2.0, 3.0]])
 
 
 class TestCoefficientMae:
     def test_identical_models(self):
-        m = LinearModel([1.0, -3.0], 0.2, SolverConfig("ols"))
+        m = LinearModel([1.0, -3.0], 0.2)
         assert coefficient_mae(m, m) == 0.0
 
     def test_hand_value(self):
-        a = LinearModel([1.0, 2.0], 0.0, SolverConfig("ols"))
-        b = LinearModel([2.0, 4.0], 5.0, SolverConfig("ols"))
+        a = LinearModel([1.0, 2.0], 0.0)
+        b = LinearModel([2.0, 4.0], 5.0)
         assert coefficient_mae(a, b) == pytest.approx(1.5)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            a = LinearModel(rng.standard_normal(4), 0.0, SolverConfig("ols"))
-            b = LinearModel(rng.standard_normal(4), 0.0, SolverConfig("ols"))
+            a = LinearModel(rng.standard_normal(4), 0.0)
+            b = LinearModel(rng.standard_normal(4), 0.0)
             assert coefficient_mae(a, b) == coefficient_mae(b, a)
 
     def test_dimension_mismatch(self):
-        a = LinearModel([1.0], 0.0, SolverConfig("ols"))
-        b = LinearModel([1.0, 2.0], 0.0, SolverConfig("ols"))
+        a = LinearModel([1.0], 0.0)
+        b = LinearModel([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             coefficient_mae(a, b)
 
@@ -305,6 +309,14 @@ class TestValidation:
             SolverConfig("ridge", lam=-1.0)
         with pytest.raises(ValueError):
             SolverConfig("lasso", cd_tolerance=0.0)
+        for fields in ({"lam": math.nan}, {"lam": math.inf}, {"lam2": math.nan}, {"cd_tolerance": math.nan},
+                       {"cd_tolerance": math.inf}):
+            with pytest.raises(ValueError, match="must be finite"):
+                SolverConfig("elastic_net", **fields)
+        for kind in ("ols", "ridge"):
+            for fields in ({"cd_tolerance": 1e-3}, {"cd_max_iters": 5}):
+                with pytest.raises(ValueError, match=f"{kind} takes no tol or max_iters"):
+                    SolverConfig(kind, **fields)
 
 
 # floats of every magnitude, and ones whose shortest repr takes all 17 significant digits
@@ -324,9 +336,9 @@ def _solver_configs(draw):
         fields["lambda_over_k"] = draw(st.sampled_from(("none", "labeled", "budget")))
     if kind == "elastic_net":
         fields["lam2"] = draw(_WEIGHTS)
-    if draw(st.booleans()):
+    if kind in ("lasso", "elastic_net") and draw(st.booleans()):
         fields["cd_tolerance"] = draw(_TOLERANCES)
-    if draw(st.booleans()):
+    if kind in ("lasso", "elastic_net") and draw(st.booleans()):
         fields["cd_max_iters"] = draw(st.integers(1, 10**9))
     return SolverConfig(kind, **fields)
 
@@ -384,3 +396,7 @@ class TestSolverGrammar:
             parse_solver("ridge:alpha=1")
         with pytest.raises(ValueError, match="malformed"):
             parse_solver("ridge:lambda")
+        with pytest.raises(ValueError, match="solver option 'lambda' in 'ridge:lambda=abc' expects a number, got 'abc'"):
+            parse_solver("ridge:lambda=abc")
+        with pytest.raises(ValueError, match=r"solver option 'max_iters' in 'lasso:max_iters=1\.5' expects an integer"):
+            parse_solver("lasso:max_iters=1.5")

@@ -8,7 +8,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import bruteforce
-from helpers import DUMMY_SOLVER, make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance
+from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance
 
 from alr.harness import selection_sequence
 from alr.regression import LinearModel, SolverConfig, predict
@@ -27,7 +27,7 @@ RIDGE = SolverConfig("ridge", lam=1.0)
 
 
 def model(coefs, intercept=0.0):
-    return LinearModel(coefs, intercept, DUMMY_SOLVER)
+    return LinearModel(coefs, intercept)
 
 
 class TestK0Default:
@@ -177,9 +177,7 @@ def _scale_task(state, task, c):
     clone = make_state(state.pool.features, labels, labeled=list(state.labeled), k0=state.k0)
     models = list(state.models)
     scaled = models[task]
-    models[task] = LinearModel(
-        scaled.coefficients * c, scaled.intercept * c, scaled.solver
-    )
+    models[task] = LinearModel(scaled.coefficients * c, scaled.intercept * c)
     clone.set_models(models)
     return clone
 
@@ -332,6 +330,13 @@ class TestQbc:
         clone.rng = fresh.rng  # unconsumed stream at the same seed
         clone.fit_models(SolverConfig("ridge", lam=1.0))
         assert select_next(clone, StrategySpec("qbc", focus_task=0)) == baseline
+
+    @pytest.mark.parametrize("kind", ["qbc", "emcm"])
+    def test_committee_needs_fit_models(self, kind):
+        state = make_state([[0.0], [1.0], [2.0], [3.0]], [[0.0], [1.0], [2.0], [3.0]], labeled=[0, 1])
+        state.set_models([model([1.0])])
+        with pytest.raises(ValueError, match="call fit_models"):
+            select_next(state, StrategySpec(kind, focus_task=0))
 
     @pytest.mark.parametrize("kind", ["qbc", "emcm"])
     def test_one_label_draws_at_random(self, kind):
@@ -598,3 +603,5 @@ class TestStrategyGrammar:
             parse_strategy("gsy:tsak=1")
         with pytest.raises(ValueError, match="committee_size"):
             parse_strategy("qbc:committee=1")
+        with pytest.raises(ValueError, match="strategy option 'committee' in 'qbc:task=0,committee=x' expects an integer"):
+            parse_strategy("qbc:task=0,committee=x")
