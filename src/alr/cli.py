@@ -47,6 +47,14 @@ def _require_directory(flag: str, path) -> None:
         raise ValueError(f"{flag}: no such directory: {parent}")
 
 
+def _json_twin(out) -> Path:
+    """Where `alr run` writes the JSON twin of its --out CSV; it must not be the CSV itself."""
+    twin = Path(out).with_suffix(".json")
+    if twin == Path(out):
+        raise ValueError(f"--out: {out} would be overwritten by its JSON twin; give a path not ending in .json")
+    return twin
+
+
 def _k_spans(ks: list[int]) -> str:
     """Ascending K values as runs, e.g. [46, 47, 48, 50] -> "46..48,50"."""
     spans = []
@@ -84,8 +92,11 @@ def cmd_normalize(args, parser) -> int:
 
 def cmd_run(args, parser) -> int:
     _require_directory("--out", args.out)
+    json_out = _json_twin(args.out)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
+    if args.focus_task is not None and not 0 <= args.focus_task < data.n_tasks:
+        raise ValueError(f"focus_task {args.focus_task} out of range for {data.n_tasks} tasks")
 
     specs = []
     for text in args.strategy:
@@ -128,7 +139,7 @@ def cmd_run(args, parser) -> int:
             print(f"{curve.strategy}: {failed} of {fits} fits did not converge (K={where})", file=sys.stderr)
 
     write_curves_csv(curves, args.out)
-    write_curves_json(curves, Path(args.out).with_suffix(".json"))
+    write_curves_json(curves, json_out)
     return 0
 
 

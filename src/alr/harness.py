@@ -219,9 +219,6 @@ class LearningCurve:
     def mean(self, metric: str, task: str, k: int) -> float:
         return self.cell(metric, task, k).mean
 
-    def has(self, metric: str, task: str, k: int) -> bool:
-        return (metric, task, k) in self.cells
-
 
 def _aggregate(values: list[float]) -> CurveCell:
     arr = np.asarray(values, dtype=float)
@@ -348,82 +345,57 @@ def unique_query_count(mt_sequence, st_sequences) -> tuple[int, int]:
     return len(list(mt_sequence)), len(union)
 
 
-def _float_str(v: float) -> str:
-    return repr(float(v))
+def _curve_cells(curve: LearningCurve) -> Iterator[tuple[str, str, int, CurveCell]]:
+    """(metric, task, k, cell) in file order, for the cells the curve holds.
 
-
-def _iter_curve_rows(curve: LearningCurve):
+    Metrics follow _METRIC_ORDER, tasks the dataset order ("all" for
+    group_fraction), and K ascends. Both curve writers walk this order.
+    """
     for metric in _METRIC_ORDER:
-        tasks = ("all",) if metric == "group_fraction" else curve.task_names
-        for task in tasks:
+        for task in ("all",) if metric == "group_fraction" else curve.task_names:
             for k in curve.ks:
-                if not curve.has(metric, task, k):
-                    continue
-                cell = curve.cell(metric, task, k)
-                yield (
-                    curve.strategy,
-                    curve.solver,
-                    task,
-                    str(k),
-                    metric,
-                    _float_str(cell.mean),
-                    _float_str(cell.std),
-                    str(cell.n_runs),
-                )
+                cell = curve.cells.get((metric, task, k))
+                if cell is not None:
+                    yield metric, task, k, cell
 
 
 def write_curves_csv(curves, path) -> None:
-    """Tidy plot-ready CSV: one row per (strategy, task, K, metric)."""
+    """Tidy plot-ready CSV: one row per (strategy, task, K, metric), in :func:`_curve_cells` order."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_CSV_HEADER)
         for curve in curves:
-            writer.writerows(_iter_curve_rows(curve))
+            writer.writerows(
+                (curve.strategy, curve.solver, task, k, metric, repr(float(c.mean)), repr(float(c.std)), c.n_runs)
+                for metric, task, k, c in _curve_cells(curve)
+            )
 
 
 def _json_safe(v: float) -> float | None:
     return None if isinstance(v, float) and math.isnan(v) else v
 
 
-def curves_to_json_dict(curves) -> dict:
-    payload = []
-    for curve in curves:
-        payload.append(
-            {
-                "strategy": curve.strategy,
-                "solver": curve.solver,
-                "task_names": list(curve.task_names),
-                "ks": list(curve.ks),
-                "n_runs": curve.n_runs,
-                "config": curve.config,
-                "nonconverged": {str(k): n for k, n in curve.nonconverged.items()},
-                "points": [
-                    {
-                        "metric": metric,
-                        "task": task,
-                        "k": int(k),
-                        "mean": _json_safe(cell.mean),
-                        "std": _json_safe(cell.std),
-                        "n_runs": cell.n_runs,
-                    }
-                    for (metric, task, k), cell in sorted(
-                        curve.cells.items(),
-                        key=lambda item: (
-                            _METRIC_ORDER.index(item[0][0]),
-                            item[0][1],
-                            item[0][2],
-                        ),
-                    )
-                ],
-            }
-        )
-    return {"curves": payload}
-
-
 def write_curves_json(curves, path) -> None:
-    Path(path).write_text(
-        json.dumps(curves_to_json_dict(curves), indent=2), encoding="utf-8"
-    )
+    """JSON twin of the CSV: per curve, its axes, config echo and per-K nonconverged counts,
+    plus the CSV's points in the CSV's row order (NaN written as null)."""
+    payload = [
+        {
+            "strategy": curve.strategy,
+            "solver": curve.solver,
+            "task_names": list(curve.task_names),
+            "ks": list(curve.ks),
+            "n_runs": curve.n_runs,
+            "config": curve.config,
+            "nonconverged": {str(k): n for k, n in curve.nonconverged.items()},
+            "points": [
+                {"metric": metric, "task": task, "k": int(k),
+                 "mean": _json_safe(c.mean), "std": _json_safe(c.std), "n_runs": c.n_runs}
+                for metric, task, k, c in _curve_cells(curve)
+            ],
+        }
+        for curve in curves
+    ]
+    Path(path).write_text(json.dumps({"curves": payload}, indent=2), encoding="utf-8")
 
 
 def read_curves_csv(path) -> list[LearningCurve]:

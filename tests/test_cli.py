@@ -109,18 +109,26 @@ class TestRunErrors:
         assert code == 0
         assert _rows(out)[0]["strategy"] == "gsy:task=1"
 
-    def test_focus_task_out_of_range_exits_1_before_any_experiment(self, tmp_path, capsys):
-        data = tmp_path / "two.csv"
-        assert main(["synth", "--n", "40", "--d", "2", "--p", "2", "--seed", "1", "--out", str(data)]) == 0
+    @pytest.mark.parametrize(
+        "n_tasks, flags, message",
+        [
+            (2, ["--strategy", "random", "--strategy", "gsy:task=5"], "focus_task 5 out of range for 2 tasks"),
+            (1, ["--strategy", "gsy", "--focus-task", "3"], "focus_task 3 out of range for 1 tasks"),
+            (2, ["--strategy", "gsy:task=0", "--focus-task", "7"], "focus_task 7 out of range for 2 tasks"),
+        ],
+    )
+    def test_focus_task_out_of_range_exits_1_before_any_experiment(self, tmp_path, capsys, n_tasks, flags, message):
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--n", "40", "--d", "2", "--p", str(n_tasks), "--seed", "1", "--out", str(data)]) == 0
         capsys.readouterr()
         out = tmp_path / "c.csv"
         code = main(
-            ["run", "--data", str(data), "--tasks", "2", "--strategy", "random",
-             "--strategy", "gsy:task=5", "--runs", "2", "--k-max", "4", "--out", str(out)]
+            ["run", "--data", str(data), "--tasks", str(n_tasks), *flags,
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "focus_task 5 out of range for 2 tasks" in captured.err
+        assert message in captured.err
         assert captured.out == ""
         assert not out.exists() and not out.with_suffix(".json").exists()
 
@@ -136,6 +144,19 @@ class TestRunErrors:
         assert "no such directory" in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_out_ending_in_json_exits_1_before_any_experiment(self, tmp_path, synth_csv, capsys):
+        capsys.readouterr()
+        out = tmp_path / "curves.json"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--out" in captured.err and "JSON twin" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "c.csv"

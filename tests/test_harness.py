@@ -320,6 +320,35 @@ class TestCurveSerialization:
         points = payload["curves"][0]["points"]
         assert {p["metric"] for p in points} >= {"rmse", "cc", "coef_mae", "label_std", "group_fraction"}
 
+    def test_json_points_follow_csv_rows(self, tmp_path):
+        import csv
+        import json
+
+        base = gen_synthetic(30, 2, 3, 0.1, seed=9)
+        vam = Dataset(
+            base.features,
+            base.labels,
+            base.feature_names,
+            ("valence", "arousal", "dominance"),
+            group=tuple("m" if i % 3 == 0 else "f" for i in range(30)),
+        )
+        curve = run_experiment(vam, _cfg(runs=2, group_value="m"))
+        write_curves_csv([curve], tmp_path / "c.csv")
+        write_curves_json([curve], tmp_path / "c.json")
+        with open(tmp_path / "c.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        points = json.loads((tmp_path / "c.json").read_text())["curves"][0]["points"]
+
+        assert [(p["metric"], p["task"], p["k"]) for p in points] == [
+            (r["metric"], r["task"], int(r["K"])) for r in rows
+        ]
+        assert rows[0]["task"] == "valence"
+        for p, r in zip(points, rows):
+            for key in ("mean", "std"):
+                value = float(r[key])
+                assert p[key] == (None if math.isnan(value) else value)
+            assert p["n_runs"] == int(r["n_runs"])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
