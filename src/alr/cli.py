@@ -81,6 +81,8 @@ def cmd_normalize(args, parser) -> int:
     _require_directory("--out", args.out)
     if args.params_out:
         _require_directory("--params-out", args.params_out)
+        if Path(args.params_out).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--params-out: {args.params_out} is the --out file; the statistics would overwrite the CSV")
     data = _load_dataset(args)
     normalized, params = normalize_features(data)
     write_csv(normalized, args.out, group_column=args.group_column or "group")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
-from .metrics import MetricRecord, UndefinedCorrelation, group_fraction, label_std, pearson_cc, rmse
+from .metrics import MetricRecord, group_fraction, label_std, pearson_cc, rmse
 from .regression import SolverConfig, coefficient_mae, predict, resolve_lambda, solver_to_string
 from .strategies import PoolState, StrategySpec, _fit_all_tasks, select_next, strategy_to_string
 
@@ -82,17 +82,9 @@ class RunResult:
     bl2_cc: tuple[float, ...]
 
 
-def _task_metrics(models, test: Dataset) -> tuple[list[float], list[float]]:
-    rmse_v, cc_v = [], []
-    for p, model in enumerate(models):
-        preds = predict(model, test.features)
-        truth = test.labels[:, p]
-        rmse_v.append(rmse(preds, truth))
-        try:
-            cc_v.append(pearson_cc(preds, truth))
-        except UndefinedCorrelation:
-            cc_v.append(math.nan)
-    return rmse_v, cc_v
+def _task_metrics(models, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    preds = np.stack([predict(model, test.features) for model in models])
+    return rmse(preds, test.labels.T), pearson_cc(preds, test.labels.T)
 
 
 def _queries(
@@ -142,10 +134,7 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
             bl2_rmse, bl2_cc = _task_metrics(reference, test)
         rmse_v, cc_v = _task_metrics(state.models, test)
         mae_v = [coefficient_mae(m, ref) for m, ref in zip(state.models, reference)]
-        if state.n_labeled >= 2:
-            std_v = [label_std(pool, state.labeled, p) for p in range(pool.n_tasks)]
-        else:
-            std_v = [math.nan] * pool.n_tasks
+        std_v = label_std(pool.labels[state.labeled].T)
         frac = (
             group_fraction(pool, state.labeled, cfg.group_value)
             if cfg.group_value is not None
@@ -165,8 +154,8 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     return RunResult(
         records=tuple(records),
         selection=tuple(state.labeled),
-        bl2_rmse=tuple(bl2_rmse),
-        bl2_cc=tuple(bl2_cc),
+        bl2_rmse=tuple(bl2_rmse.tolist()),
+        bl2_cc=tuple(bl2_cc.tolist()),
     )
 
 

@@ -1,4 +1,9 @@
-"""Scalar evaluation and selection-diagnostic metrics."""
+"""Evaluation and selection-diagnostic metrics.
+
+`rmse`, `pearson_cc` and `label_std` reduce along the last axis, one contiguous row at a time,
+so a call on a (tasks, samples) array equals the 1-D calls on its rows bit for bit. Each
+gives NaN where undefined: CC of a constant input, label_std of fewer than 2 samples.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,6 @@ import numpy as np
 from .dataset import Dataset
 
 __all__ = [
-    "UndefinedCorrelation",
     "MetricRecord",
     "rmse",
     "pearson_cc",
@@ -19,47 +23,44 @@ __all__ = [
 ]
 
 
-class UndefinedCorrelation(ValueError):
-    """Pearson correlation is undefined when either input is constant."""
+def _rows(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    p, t = np.ascontiguousarray(pred, dtype=float), np.ascontiguousarray(truth, dtype=float)
+    if p.shape != t.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
+    return p, t
 
 
-def rmse(pred, truth) -> float:
-    """Root mean squared error between two equal-length vectors."""
-    p = np.asarray(pred, dtype=float).ravel()
-    t = np.asarray(truth, dtype=float).ravel()
-    if p.size != t.size:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    if p.size == 0:
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a · b per row, as (1, n) @ (n, 1) matmuls: each row rounds as `a_row @ b_row` does."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def rmse(pred, truth):
+    """Root mean squared error along the last axis."""
+    p, t = _rows(pred, truth)
+    if p.shape[-1] == 0:
         raise ValueError("rmse of empty vectors is undefined")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    return np.sqrt(np.mean((p - t) ** 2, axis=-1))
 
 
-def pearson_cc(pred, truth) -> float:
-    """Pearson correlation coefficient in [-1, 1].
-
-    Raises UndefinedCorrelation for constant inputs so callers can record the
-    value as missing instead of silently mapping it to 0.
-    """
-    p = np.asarray(pred, dtype=float).ravel()
-    t = np.asarray(truth, dtype=float).ravel()
-    if p.size != t.size:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    if p.size < 2:
+def pearson_cc(pred, truth):
+    """Pearson correlation coefficient in [-1, 1] along the last axis; NaN for a constant input."""
+    p, t = _rows(pred, truth)
+    if p.shape[-1] < 2:
         raise ValueError("correlation needs at least 2 points")
-    pc = p - p.mean()
-    tc = t - t.mean()
-    denom = math.sqrt(float(pc @ pc)) * math.sqrt(float(tc @ tc))
-    if denom == 0.0:
-        raise UndefinedCorrelation("correlation undefined for constant input")
-    return float(np.clip(float(pc @ tc) / denom, -1.0, 1.0))
+    pc = p - p.mean(axis=-1, keepdims=True)
+    tc = t - t.mean(axis=-1, keepdims=True)
+    denom = np.sqrt(_row_dot(pc, pc)) * np.sqrt(_row_dot(tc, tc))
+    cc = np.divide(_row_dot(pc, tc), denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
+    return np.clip(cc, -1.0, 1.0)[()]
 
 
-def label_std(pool: Dataset, labeled, task: int) -> float:
-    """Sample standard deviation of the true labels of the selected samples."""
-    idx = list(labeled)
-    if len(idx) < 2:
-        raise ValueError("label_std needs at least 2 selected samples")
-    return float(np.std(pool.labels[idx, task], ddof=1))
+def label_std(labels):
+    """Sample standard deviation (ddof=1) of labels along the last axis; NaN for fewer than 2."""
+    x = np.ascontiguousarray(labels, dtype=float)
+    if x.shape[-1] < 2:
+        return np.full(x.shape[:-1], np.nan)[()]
+    return np.std(x, axis=-1, ddof=1)
 
 
 def group_fraction(pool: Dataset, labeled, group_value: str) -> float:

@@ -96,16 +96,22 @@ class StrategySpec:
 
 
 _STRATEGY_OPTIONS = {"task": "focus_task", "committee": "committee_size"}  # grammar key -> field
+_OPTION_KINDS = {"task": SINGLE_TASK_KINDS, "committee": frozenset({"qbc", "emcm"})}  # grammar key -> kinds reading it
 
 
 def parse_strategy(text: str) -> StrategySpec:
-    """Parse the strategy mini-grammar, e.g. "mt_igs", "gsy:task=1", "qbc:task=0,committee=8"."""
+    """Parse the strategy mini-grammar, e.g. "mt_igs", "gsy:task=1", "qbc:task=0,committee=8";
+    an option the kind would ignore (`task=` on gsx, `committee=` on gsy) is rejected."""
     kind, options = _parse_spec(text, "strategy", dict.fromkeys(_STRATEGY_OPTIONS, int))
-    return StrategySpec(kind, **{_STRATEGY_OPTIONS[key]: value for key, value in options})
+    spec = StrategySpec(kind, **{_STRATEGY_OPTIONS[key]: value for key, value in options})
+    for key, _ in options:
+        if kind not in _OPTION_KINDS[key]:
+            raise ValueError(f"strategy {kind} takes no '{key}' option; only {', '.join(sorted(_OPTION_KINDS[key]))} do")
+    return spec
 
 
 def strategy_to_string(spec: StrategySpec) -> str:
-    """Canonical grammar string for a StrategySpec; parse_strategy reads it back as `spec`."""
+    """Canonical grammar string for a StrategySpec; parse_strategy reads back any spec it accepts."""
     return _format_spec(spec, _STRATEGY_OPTIONS)
 
 

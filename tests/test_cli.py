@@ -78,6 +78,18 @@ class TestSynthAndNormalize:
         assert f"--params-out: no such directory: {params.parent}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("params_name", ("n.json", "sub/../n.json"))
+    def test_params_out_equal_to_out_exits_1_before_loading_data(self, tmp_path, capsys, params_name):
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "n.json"
+        code = main(
+            ["normalize", "--data", str(tmp_path / "absent.csv"), "--tasks", "3",
+             "--out", str(out), "--params-out", str(tmp_path / params_name)]
+        )
+        assert code == 1
+        assert f"--params-out: {tmp_path / params_name} is the --out file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_normalize_preserves_group_column_name(self, tmp_path):
         data = tmp_path / "g.csv"
         data.write_text("f1,gender,v\n1.0,m,0.1\n2.0,f,0.2\n3.0,m,0.3\n")
@@ -206,6 +218,23 @@ class TestRunErrors:
         assert "Warning" not in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [
+            ("gsx:task=1", "strategy gsx takes no 'task' option"),
+            ("random:committee=8", "strategy random takes no 'committee' option"),
+        ],
+    )
+    def test_ignored_strategy_option_exits_1(self, tmp_path, synth_csv, capsys, strategy, message):
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", strategy,
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 class TestOneFeature:
     @pytest.mark.parametrize("kind", ["qbc", "emcm"])

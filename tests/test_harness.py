@@ -47,7 +47,7 @@ class TestRunSingle:
     def test_coef_mae_zero_at_full_pool(self):
         pool, test = _split_synthetic()
         for kind in ALL_KINDS:
-            cfg = _cfg(strategy=f"{kind}:task=0" if ":" not in kind else kind)
+            cfg = _cfg(strategy=f"{kind}:task=0" if kind in SINGLE_TASK_KINDS else kind)
             result = run_single(pool, test, cfg, seed=3)
             final = result.records[-1]
             assert final.k == pool.n_samples
@@ -75,7 +75,8 @@ class TestRunSingle:
     def test_noiseless_identifiability(self):
         pool, test = _split_synthetic(n=40, d=3, p=2, noise=0.0, seed=4)
         for kind in ALL_KINDS:
-            cfg = _cfg(strategy=f"{kind}:task=0", solver=SolverConfig("ols"))
+            strategy = f"{kind}:task=0" if kind in SINGLE_TASK_KINDS else kind
+            cfg = _cfg(strategy=strategy, solver=SolverConfig("ols"))
             result = run_single(pool, test, cfg, seed=4)
             for record in result.records:
                 if record.k > pool.n_features:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from alr.dataset import Dataset
-from alr.metrics import MetricRecord, UndefinedCorrelation, group_fraction, label_std, pearson_cc, rmse
+from alr.metrics import MetricRecord, group_fraction, label_std, pearson_cc, rmse
 
 
 class TestRmse:
@@ -52,10 +55,8 @@ class TestPearson:
         assert pearson_cc(a, 0.25 * b - 9.0) == pytest.approx(base, abs=1e-12)
 
     def test_constant_input_is_undefined(self):
-        with pytest.raises(UndefinedCorrelation):
-            pearson_cc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(UndefinedCorrelation):
-            pearson_cc([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
+        assert math.isnan(pearson_cc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(pearson_cc([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -76,21 +77,54 @@ def _pool_with_labels(labels, group=None):
 
 class TestLabelStd:
     def test_identical_labels(self):
-        pool = _pool_with_labels([[2.0], [2.0], [2.0]])
-        assert label_std(pool, [0, 1, 2], 0) == 0.0
+        assert label_std([2.0, 2.0, 2.0]) == 0.0
 
     def test_two_values(self):
-        pool = _pool_with_labels([[0.0], [1.0], [5.0]])
-        assert label_std(pool, [0, 1], 0) == pytest.approx(math.sqrt(0.5))
+        assert label_std([0.0, 1.0]) == pytest.approx(math.sqrt(0.5))
 
     def test_permutation_invariant(self):
-        pool = _pool_with_labels([[0.3], [1.7], [-2.0], [0.9]])
-        assert label_std(pool, [0, 1, 2, 3], 0) == label_std(pool, [3, 1, 0, 2], 0)
+        labels = np.array([0.3, 1.7, -2.0, 0.9])
+        assert label_std(labels) == label_std(labels[[3, 1, 0, 2]])
 
-    def test_needs_two(self):
-        pool = _pool_with_labels([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            label_std(pool, [0], 0)
+    def test_one_value_per_task(self):
+        assert label_std([[0.0, 1.0, 5.0], [2.0, 2.0, 2.0]]) == pytest.approx([math.sqrt(7.0), 0.0])
+
+    def test_fewer_than_two_is_nan(self):
+        assert math.isnan(label_std([1.0]))
+        assert np.isnan(label_std(np.ones((3, 1)))).all()
+
+
+@st.composite
+def _row_pair(draw):
+    """Prediction and truth arrays of one (P, n) shape, with some constant rows, each
+    possibly a transposed (non-contiguous) view."""
+    p, n = draw(st.integers(1, 4)), draw(st.sampled_from((1, 2)) | st.integers(1, 40))
+    values = st.integers(-5, 5).map(float) | st.floats(-1e3, 1e3, allow_subnormal=False)
+    pair = []
+    for _ in range(2):
+        a = draw(arrays(float, (p, n), elements=values))
+        for row in draw(st.sets(st.integers(0, p - 1))):
+            a[row] = a[row, 0]
+        pair.append(np.ascontiguousarray(a.T).T if draw(st.booleans()) else a)
+    return pair
+
+
+class TestRowForms:
+    @settings(max_examples=300, deadline=None)
+    @given(_row_pair())
+    def test_2d_call_equals_1d_call_on_each_row(self, pair):
+        pred, truth = pair
+        same = lambda a, b: np.array_equal(a, b, equal_nan=True)
+        assert same(rmse(pred, truth), [rmse(a, b) for a, b in zip(pred, truth)])
+        assert same(label_std(pred), [label_std(a) for a in pred])
+        if pred.shape[1] < 2:
+            with pytest.raises(ValueError, match="2 points"):
+                pearson_cc(pred, truth)
+            return
+        cc = pearson_cc(pred, truth)
+        assert same(cc, [pearson_cc(a, b) for a, b in zip(pred, truth)])
+        constant = (pred == pred.mean(axis=1, keepdims=True)).all(axis=1)
+        assert np.isnan(cc[constant]).all()
 
 
 class TestGroupFraction:

@@ -13,6 +13,7 @@ from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_
 from alr.harness import selection_sequence
 from alr.regression import LinearModel, SolverConfig, predict
 from alr.strategies import (
+    SINGLE_TASK_KINDS,
     STRATEGY_KINDS,
     PoolState,
     StrategySpec,
@@ -586,15 +587,27 @@ class TestStrategyGrammar:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.builds(
-            StrategySpec,
-            st.sampled_from(STRATEGY_KINDS),
-            st.none() | st.integers(0, 10**6),
-            st.integers(2, 10**6),
+        st.sampled_from(STRATEGY_KINDS).flatmap(
+            lambda kind: st.builds(
+                StrategySpec,
+                st.just(kind),
+                (st.none() | st.integers(0, 10**6)) if kind in SINGLE_TASK_KINDS else st.none(),
+                st.integers(2, 10**6) if kind in ("qbc", "emcm") else st.just(StrategySpec.committee_size),
+            )
         )
     )
     def test_parse_inverts_print(self, spec):
         assert parse_strategy(strategy_to_string(spec)) == spec
+
+    @pytest.mark.parametrize("kind", sorted(set(STRATEGY_KINDS) - SINGLE_TASK_KINDS))
+    def test_task_rejected_where_ignored(self, kind):
+        with pytest.raises(ValueError, match=f"strategy {kind} takes no 'task' option"):
+            parse_strategy(f"{kind}:task=1")
+
+    @pytest.mark.parametrize("kind", sorted(set(STRATEGY_KINDS) - {"qbc", "emcm"}))
+    def test_committee_rejected_where_ignored(self, kind):
+        with pytest.raises(ValueError, match=f"strategy {kind} takes no 'committee' option"):
+            parse_strategy(f"{kind}:committee=8")
 
     def test_errors(self):
         with pytest.raises(ValueError, match="unknown strategy kind"):
