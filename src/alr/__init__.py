@@ -16,12 +16,12 @@ from .dataset import (
     load_csv,
     normalize_features,
     split_train_test,
-    synthetic_true_coef,
     write_csv,
 )
 from .harness import (
     ExperimentConfig,
     LearningCurve,
+    MetricRecord,
     RunResult,
     read_curves_csv,
     run_experiment,
@@ -32,7 +32,7 @@ from .harness import (
     write_curves_csv,
     write_curves_json,
 )
-from .metrics import MetricRecord, group_fraction, label_std, pearson_cc, rmse
+from .metrics import group_fraction, label_std, pearson_cc, rmse
 from .regression import (
     LinearModel,
     SolverConfig,

@@ -26,7 +26,6 @@ __all__ = [
     "apply_normalization",
     "split_train_test",
     "gen_synthetic",
-    "synthetic_true_coef",
 ]
 
 
@@ -307,12 +306,6 @@ def split_train_test(data: Dataset, cfg: SplitConfig) -> tuple[Dataset, Dataset]
     return data.subset(pool_idx), data.subset(test_idx)
 
 
-def _draw_true_coef(rng: np.random.Generator, d: int, p: int) -> np.ndarray:
-    # must stay the first draw from the generator so synthetic_true_coef can
-    # regenerate the same coefficients from the bare seed
-    return rng.standard_normal((d, p))
-
-
 def gen_synthetic(
     n: int, d: int, p: int, noise_std: float, seed: int
 ) -> Dataset:
@@ -320,14 +313,14 @@ def gen_synthetic(
 
     Features are i.i.d. standard normal; each task's labels are
     features @ coef + N(0, noise_std^2) noise, with the coefficient matrix
-    drawn from the seed (recover it with :func:`synthetic_true_coef`).
+    drawn from the seed.
     """
     if n < 1 or d < 1 or p < 1:
         raise ValueError("n, d, and p must be positive")
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
-    coef = _draw_true_coef(rng, d, p)
+    coef = rng.standard_normal((d, p))
     features = rng.standard_normal((n, d))
     noise = rng.standard_normal((n, p)) * noise_std
     labels = features @ coef + noise
@@ -337,8 +330,3 @@ def gen_synthetic(
         feature_names=tuple(f"x{i + 1}" for i in range(d)),
         task_names=tuple(f"y{i + 1}" for i in range(p)),
     )
-
-
-def synthetic_true_coef(d: int, p: int, seed: int) -> np.ndarray:
-    """The d x p ground-truth coefficient matrix used by :func:`gen_synthetic`."""
-    return _draw_true_coef(np.random.default_rng(seed), d, p)

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
-from .metrics import MetricRecord, group_fraction, label_std, pearson_cc, rmse
+from .metrics import group_fraction, label_std, pearson_cc, rmse
 from .regression import SolverConfig, coefficient_mae, predict, resolve_lambda, solver_to_string
 from .strategies import PoolState, StrategySpec, _fit_all_tasks, select_next, strategy_to_string
 
 __all__ = [
     "ExperimentConfig",
+    "MetricRecord",
     "RunResult",
     "CurveCell",
     "LearningCurve",
@@ -72,14 +73,32 @@ class ExperimentConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class MetricRecord:
+    """A run's scores at labeled count k, each metric a (tasks,) array as computed.
+
+    cc and label_std entries are NaN where undefined (constant predictions,
+    fewer than 2 selected samples). `nonconverged` counts the task models
+    fitted at k that report converged=False.
+    """
+
+    k: int
+    rmse: np.ndarray
+    cc: np.ndarray
+    coef_mae: np.ndarray
+    label_std: np.ndarray
+    group_fraction: float | None = None
+    nonconverged: int = 0
+
+
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of a single run: per-K records plus run-level references."""
+    """Outcome of a single run: per-K records plus the full-pool reference's (tasks,) scores."""
 
     records: tuple[MetricRecord, ...]
     selection: tuple[int, ...]
-    bl2_rmse: tuple[float, ...]
-    bl2_cc: tuple[float, ...]
+    bl2_rmse: np.ndarray
+    bl2_cc: np.ndarray
 
 
 def _task_metrics(models, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -132,9 +151,8 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
         if not records:  # the reference fit needs the solver as the loop resolved it
             reference = _fit_all_tasks(pool.features, pool.labels, state.solver)
             bl2_rmse, bl2_cc = _task_metrics(reference, test)
+            reference_coefs = np.stack([m.coefficients for m in reference])
         rmse_v, cc_v = _task_metrics(state.models, test)
-        mae_v = [coefficient_mae(m, ref) for m, ref in zip(state.models, reference)]
-        std_v = label_std(pool.labels[state.labeled].T)
         frac = (
             group_fraction(pool, state.labeled, cfg.group_value)
             if cfg.group_value is not None
@@ -145,18 +163,13 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
                 k=state.n_labeled,
                 rmse=rmse_v,
                 cc=cc_v,
-                coef_mae=mae_v,
-                label_std=std_v,
+                coef_mae=coefficient_mae(np.stack([m.coefficients for m in state.models]), reference_coefs),
+                label_std=label_std(pool.labels[state.labeled].T),
                 group_fraction=frac,
                 nonconverged=sum(not m.converged for m in state.models),
             )
         )
-    return RunResult(
-        records=tuple(records),
-        selection=tuple(state.labeled),
-        bl2_rmse=tuple(bl2_rmse.tolist()),
-        bl2_cc=tuple(bl2_cc.tolist()),
-    )
+    return RunResult(records=tuple(records), selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
 
 
 def selection_sequence(
@@ -244,10 +257,7 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
         raise ValueError("threads must be >= 1")
     results = [run_single(pool, test, cfg, seed=seed) for pool, test, seed in _run_splits(data, cfg)]
 
-    ks = tuple(rec.k for rec in results[0].records)
-    for res in results[1:]:
-        if tuple(rec.k for rec in res.records) != ks:
-            raise ValueError("runs disagree on the K axis; pool sizes must match")
+    ks = tuple(rec.k for rec in results[0].records)  # every run splits the same data alike
 
     task_names = data.task_names
     cells: dict = {}

@@ -1,21 +1,20 @@
-"""Evaluation and selection-diagnostic metrics.
+"""Evaluation and selection-diagnostic metric functions.
 
 `rmse`, `pearson_cc` and `label_std` reduce along the last axis, one contiguous row at a time,
-so a call on a (tasks, samples) array equals the 1-D calls on its rows bit for bit. Each
-gives NaN where undefined: CC of a constant input, label_std of fewer than 2 samples.
+so a call on a (tasks, samples) array equals the 1-D calls on its rows bit for bit, and a run
+scores every task at a K with one call each. Each gives NaN where undefined: CC of a constant
+input, label_std of fewer than 2 samples. Each bounds its own range (RMSE is a square root,
+CC is clipped to [-1, 1]), so the records a run keeps are not checked again. The coefficient
+MAE against the full-pool model is `regression.coefficient_mae`, which reduces the same way.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
 
 __all__ = [
-    "MetricRecord",
     "rmse",
     "pearson_cc",
     "label_std",
@@ -51,8 +50,10 @@ def pearson_cc(pred, truth):
     pc = p - p.mean(axis=-1, keepdims=True)
     tc = t - t.mean(axis=-1, keepdims=True)
     denom = np.sqrt(_row_dot(pc, pc)) * np.sqrt(_row_dot(tc, tc))
-    cc = np.divide(_row_dot(pc, tc), denom, out=np.full_like(denom, np.nan), where=denom != 0.0)
-    return np.clip(cc, -1.0, 1.0)[()]
+    # a constant row need not centre to exact zeros: the mean of equal floats can round off them
+    defined = (denom != 0.0) & (np.ptp(p, axis=-1) != 0.0) & (np.ptp(t, axis=-1) != 0.0)
+    cc = np.divide(_row_dot(pc, tc), denom, out=np.full_like(denom, np.nan), where=defined)
+    return np.clip(cc, -1.0, 1.0)
 
 
 def label_std(labels):
@@ -72,37 +73,3 @@ def group_fraction(pool: Dataset, labeled, group_value: str) -> float:
         raise ValueError("no selected samples")
     hits = sum(1 for i in idx if pool.group[i] == group_value)
     return hits / len(idx)
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    """Per-iteration evaluation snapshot at labeled count k.
-
-    cc and label_std entries are NaN where undefined (constant predictions,
-    fewer than 2 selected samples). `nonconverged` counts the task models
-    fitted at k that report converged=False.
-    """
-
-    k: int
-    rmse: tuple[float, ...]
-    cc: tuple[float, ...]
-    coef_mae: tuple[float, ...]
-    label_std: tuple[float, ...]
-    group_fraction: float | None = None
-    nonconverged: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rmse", tuple(float(v) for v in self.rmse))
-        object.__setattr__(self, "cc", tuple(float(v) for v in self.cc))
-        object.__setattr__(self, "coef_mae", tuple(float(v) for v in self.coef_mae))
-        object.__setattr__(self, "label_std", tuple(float(v) for v in self.label_std))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if any(not (v >= 0) for v in self.rmse):
-            raise ValueError("rmse values must be nonnegative")
-        if any(not math.isnan(v) and abs(v) > 1.0 for v in self.cc):
-            raise ValueError("cc values must lie in [-1, 1] or be NaN")
-        if any(not (v >= 0) for v in self.coef_mae):
-            raise ValueError("coef_mae values must be nonnegative")
-        if self.group_fraction is not None and not 0.0 <= self.group_fraction <= 1.0:
-            raise ValueError("group_fraction must lie in [0, 1]")

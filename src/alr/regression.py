@@ -267,13 +267,14 @@ def predict(model: LinearModel, features) -> np.ndarray:
     return X @ model.coefficients + model.intercept
 
 
-def coefficient_mae(a: LinearModel, b: LinearModel) -> float:
-    """Mean absolute difference over coefficients (intercepts excluded)."""
-    if a.n_features != b.n_features:
-        raise ValueError(
-            f"coefficient dimensions differ: {a.n_features} vs {b.n_features}"
-        )
-    return float(np.mean(np.abs(a.coefficients - b.coefficients)))
+def coefficient_mae(coefs, reference):
+    """Mean absolute coefficient difference along the last axis: one number for a pair of
+    coefficient vectors, one per task for (tasks, d) stacks. Each row is reduced as a
+    contiguous copy, so it equals the 1-D call on that row bit for bit."""
+    a, b = np.ascontiguousarray(coefs, dtype=float), np.ascontiguousarray(reference, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"coefficient shapes differ: {a.shape} vs {b.shape}")
+    return np.mean(np.abs(a - b), axis=-1)
 
 
 _SOLVER_DEFAULTS = {

@@ -111,8 +111,10 @@ def parse_strategy(text: str) -> StrategySpec:
 
 
 def strategy_to_string(spec: StrategySpec) -> str:
-    """Canonical grammar string for a StrategySpec; parse_strategy reads back any spec it accepts."""
-    return _format_spec(spec, _STRATEGY_OPTIONS)
+    """Canonical grammar string for a StrategySpec; options its kind ignores are left out,
+    so parse_strategy reads back every printed spec."""
+    read = {key: name for key, name in _STRATEGY_OPTIONS.items() if spec.kind in _OPTION_KINDS[key]}
+    return _format_spec(spec, read)
 
 
 def _fit_all_tasks(features: np.ndarray, labels: np.ndarray, solver: SolverConfig) -> list[LinearModel]:

@@ -82,6 +82,13 @@ class TestRunSingle:
                 if record.k > pool.n_features:
                     assert max(record.rmse) <= 1e-6, f"{kind} at K={record.k}"
 
+    def test_all_zero_coefficients_give_nan_cc(self):
+        # lambda=100 zeroes every coefficient, so each prediction row is the constant intercept
+        pool, test = _split_synthetic(n=60, d=3, p=2)
+        result = run_single(pool, test, _cfg(strategy="random", solver=parse_solver("lasso:lambda=100")), seed=0)
+        for record in result.records:
+            assert np.isnan(record.cc).all(), f"K={record.k}"
+
     def test_dimension_mismatch_rejected(self):
         pool, _ = _split_synthetic(d=3)
         _, test = _split_synthetic(d=4)

@@ -268,26 +268,25 @@ class TestPredict:
 
 class TestCoefficientMae:
     def test_identical_models(self):
-        m = LinearModel([1.0, -3.0], 0.2)
-        assert coefficient_mae(m, m) == 0.0
+        coefs = np.array([[1.0, -3.0], [0.5, 2.0]])
+        assert coefficient_mae(coefs[0], coefs[0]) == 0.0
+        assert np.array_equal(coefficient_mae(coefs, coefs), [0.0, 0.0])
 
     def test_hand_value(self):
-        a = LinearModel([1.0, 2.0], 0.0)
-        b = LinearModel([2.0, 4.0], 5.0)
-        assert coefficient_mae(a, b) == pytest.approx(1.5)
+        assert coefficient_mae([1.0, 2.0], [2.0, 4.0]) == pytest.approx(1.5)
+        assert coefficient_mae([[1.0, 2.0], [0.0, 0.0]], [[2.0, 4.0], [0.0, -1.0]]) == pytest.approx([1.5, 0.5])
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            a = LinearModel(rng.standard_normal(4), 0.0)
-            b = LinearModel(rng.standard_normal(4), 0.0)
-            assert coefficient_mae(a, b) == coefficient_mae(b, a)
+            a, b = rng.standard_normal((2, 3, 4))
+            assert np.array_equal(coefficient_mae(a, b), coefficient_mae(b, a))
 
     def test_dimension_mismatch(self):
-        a = LinearModel([1.0], 0.0)
-        b = LinearModel([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            coefficient_mae(a, b)
+        with pytest.raises(ValueError, match="shapes differ"):
+            coefficient_mae([1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="shapes differ"):
+            coefficient_mae(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestValidation:

@@ -599,6 +599,21 @@ class TestStrategyGrammar:
     def test_parse_inverts_print(self, spec):
         assert parse_strategy(strategy_to_string(spec)) == spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            StrategySpec,
+            st.sampled_from(STRATEGY_KINDS),
+            st.none() | st.integers(0, 10**6),
+            st.integers(2, 10**6),
+        )
+    )
+    def test_label_prints_only_options_the_kind_reads(self, spec):
+        label = strategy_to_string(spec)
+        assert strategy_to_string(parse_strategy(label)) == label
+        assert ("task=" in label) <= (spec.kind in SINGLE_TASK_KINDS)
+        assert ("committee=" in label) <= (spec.kind in ("qbc", "emcm"))
+
     @pytest.mark.parametrize("kind", sorted(set(STRATEGY_KINDS) - SINGLE_TASK_KINDS))
     def test_task_rejected_where_ignored(self, kind):
         with pytest.raises(ValueError, match=f"strategy {kind} takes no 'task' option"):
