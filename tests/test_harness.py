@@ -60,6 +60,15 @@ class TestRunSingle:
         # final-iteration model coincides with the reference model
         assert result.records[-1].rmse == pytest.approx(result.bl2_rmse, abs=1e-10)
 
+    def test_records_hold_one_float_per_task(self):
+        pool, test = _split_synthetic(p=3)
+        result = run_single(pool, test, _cfg(), seed=6)
+        for scores in (result.bl2_rmse, result.bl2_cc):
+            assert isinstance(scores, np.ndarray) and scores.shape == (3,) and scores.dtype == float
+        for record in result.records:
+            for scores in (record.rmse, record.cc, record.coef_mae, record.label_std):
+                assert isinstance(scores, np.ndarray) and scores.shape == (3,) and scores.dtype == float
+
     def test_k_max_equal_k0_gives_one_record(self):
         pool, test = _split_synthetic()
         result = run_single(pool, test, _cfg(k_max=pool.n_features), seed=2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from alr.dataset import Dataset
+from alr.harness import MetricRecord
 from alr.metrics import group_fraction, label_std, pearson_cc, rmse
 from alr.regression import coefficient_mae
 
@@ -149,3 +150,16 @@ class TestGroupFraction:
         with pytest.raises(ValueError, match="group"):
             group_fraction(pool, [0], "m")
 
+
+class TestMetricRecord:
+    def test_accepts_nan_cc(self):
+        rec = MetricRecord(k=3, rmse=np.array([0.1]), cc=np.array([math.nan]),
+                           coef_mae=np.array([0.0]), label_std=np.array([0.2]))
+        assert math.isnan(rec.cc[0])
+
+    def test_keeps_arrays_as_given(self):
+        given = {"rmse": np.array([0.1, 0.2]), "cc": np.array([0.5, math.nan]),
+                 "coef_mae": np.array([0.0, 0.3]), "label_std": np.array([0.2, 0.4])}
+        rec = MetricRecord(k=2, **given)
+        for name, array in given.items():
+            assert getattr(rec, name) is array, name
