@@ -6,6 +6,10 @@ configured strategy, refit all per-task models after every query, and score
 them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
+A run keeps each K's models and scores them after the query loop in blocks
+of K's, one stacked prediction and one call per metric per block, each score
+bit for bit that K's alone. `_SCORE_BLOCK` bounds a block's predictions.
+
 Runs execute one after another and derive their seeds as
 ``seed ^ run_index``.
 """
@@ -24,8 +28,8 @@ import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
 from .metrics import group_fraction, label_std, pearson_cc, rmse
-from .regression import SolverConfig, coefficient_mae, predict, resolve_lambda, solver_to_string
-from .strategies import PoolState, StrategySpec, _fit_all_tasks, select_next, strategy_to_string
+from .regression import SolverConfig, coefficient_mae, fit, resolve_lambda, solver_to_string
+from .strategies import PoolState, StrategySpec, select_next, strategy_to_string
 
 __all__ = [
     "ExperimentConfig",
@@ -47,6 +51,9 @@ __all__ = [
 CURVE_CSV_HEADER = ("strategy", "solver", "task", "K", "metric", "mean", "std", "n_runs")
 
 _METRIC_ORDER = ("rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc", "group_fraction")
+
+# test predictions (K's x tasks x test rows) scored in one pass: about 0.5 MB per block array
+_SCORE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,26 @@ class RunResult:
     bl2_cc: np.ndarray
 
 
-def _task_metrics(models, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    preds = np.stack([predict(model, test.features) for model in models])
-    return rmse(preds, test.labels.T), pearson_cc(preds, test.labels.T)
+def _block_scores(block, test: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (b, tasks, d), test RMSE and CC (b, tasks) of b K's models. Entry (i, p) is
+    bit for bit the score of `predict(block[i][p], test.features)`: each prediction row is a
+    (1, d) @ (d, n) product, and the metrics reduce row by row."""
+    coefs = np.array([[m.coefficients for m in models] for models in block])
+    intercepts = np.array([[m.intercept for m in models] for models in block])
+    preds = (coefs[:, :, None, :] @ test.features.T)[:, :, 0, :] + intercepts[:, :, None]
+    truth = np.broadcast_to(test.labels.T, preds.shape)
+    return coefs, rmse(preds, truth), pearson_cc(preds, truth)
+
+
+def _block_records(pending, test: Dataset, reference_coefs: np.ndarray) -> list[MetricRecord]:
+    """The MetricRecords of pending (k, models, label_std, group_fraction) entries, scored as one block."""
+    coefs, rmse_b, cc_b = _block_scores([models for _, models, _, _ in pending], test)
+    mae_b = coefficient_mae(coefs, np.broadcast_to(reference_coefs, coefs.shape))
+    return [
+        MetricRecord(k=k, rmse=rmse_v, cc=cc_v, coef_mae=mae_v, label_std=std, group_fraction=frac,
+                     nonconverged=sum(not m.converged for m in models))
+        for (k, models, std, frac), rmse_v, cc_v, mae_v in zip(pending, rmse_b, cc_b, mae_b)
+    ]
 
 
 def _queries(
@@ -116,6 +140,8 @@ def _queries(
     solver every fit of the run used.
     """
     state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    if k_max is None and pool.n_samples < state.k0:
+        raise ValueError(f"pool of {pool.n_samples} samples is smaller than k0={state.k0} (one label per feature)")
     k_max = pool.n_samples if k_max is None else k_max
     if not state.k0 <= k_max <= pool.n_samples:
         raise ValueError(
@@ -146,29 +172,24 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     if seed is None:
         seed = cfg.seed
 
+    block_size = max(1, _SCORE_BLOCK // (pool.n_tasks * test.n_samples))
     records: list[MetricRecord] = []
+    pending: list[tuple[int, list, np.ndarray, float | None]] = []  # (k, models, label_std, group_fraction)
     for state in _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, seed):
-        if not records:  # the reference fit needs the solver as the loop resolved it
-            reference = _fit_all_tasks(pool.features, pool.labels, state.solver)
-            bl2_rmse, bl2_cc = _task_metrics(reference, test)
-            reference_coefs = np.stack([m.coefficients for m in reference])
-        rmse_v, cc_v = _task_metrics(state.models, test)
+        if state.n_labeled == state.k0:  # the reference fit needs the solver as the loop resolved it
+            reference = [fit(pool.features, pool.labels, state.solver)]
+            reference_coefs, bl2_rmse, bl2_cc = (scores[0] for scores in _block_scores(reference, test))
         frac = (
             group_fraction(pool, state.labeled, cfg.group_value)
             if cfg.group_value is not None
             else None
         )
-        records.append(
-            MetricRecord(
-                k=state.n_labeled,
-                rmse=rmse_v,
-                cc=cc_v,
-                coef_mae=coefficient_mae(np.stack([m.coefficients for m in state.models]), reference_coefs),
-                label_std=label_std(pool.labels[state.labeled].T),
-                group_fraction=frac,
-                nonconverged=sum(not m.converged for m in state.models),
-            )
-        )
+        pending.append((state.n_labeled, state.models, label_std(pool.labels[state.labeled].T), frac))
+        if len(pending) == block_size:
+            records += _block_records(pending, test, reference_coefs)
+            pending = []
+    if pending:
+        records += _block_records(pending, test, reference_coefs)
     return RunResult(records=tuple(records), selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
 
 

@@ -1,4 +1,4 @@
-"""Single-output linear models: OLS, ridge, LASSO, and elastic net.
+"""Linear models, one per target column: OLS, ridge, LASSO, and elastic net.
 
 All solvers minimize a sum-of-squares objective plus an unscaled penalty:
 
@@ -16,6 +16,9 @@ c = Xcᵀyc, which reaches the solution in a finite number of steps even when
 the centred design is rank deficient. `tol` is the subgradient optimality
 guard: a fit is converged when the KKT residual is at most 10·tol.
 `max_iters` caps the path steps.
+
+:func:`fit` on (k, P) targets centres X and forms XcᵀXc once for all P columns, and
+solves each column alone, so each model is bit for bit the fit to that column.
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
     return replace(cfg, lam=cfg.lam / budget, lambda_over_k="none")
 
 
-def fit(features, targets, cfg: SolverConfig) -> LinearModel:
-    """Fit one linear model to (features, targets) under `cfg`.
+def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]:
+    """Fit one linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
 
     The penalty applied is cfg.lam, or cfg.lam / k on k rows when
     cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
@@ -130,17 +133,17 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     converged=False and emits a warning.
     """
     X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    Y = np.asarray(targets, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
-    if y.ndim != 1:
-        raise ValueError(f"targets must be 1-D, got shape {y.shape}")
+    if Y.ndim not in (1, 2):
+        raise ValueError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
     k, d = X.shape
     if k < 1:
         raise ValueError("need at least one training row")
-    if y.size != k:
-        raise ValueError(f"{y.size} targets for {k} rows")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
+    if len(Y) != k:
+        raise ValueError(f"{len(Y)} targets for {k} rows")
+    if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise ValueError("training data must be finite")
     if cfg.lambda_over_k == "budget":
         raise ValueError(
@@ -148,35 +151,36 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
         )
     lam = cfg.lam / k if cfg.lambda_over_k == "labeled" else cfg.lam
 
+    Yt = np.ascontiguousarray(Y.T).reshape(-1, k)  # (P, k): each mean and product runs along a contiguous row
+    y_means = Yt.mean(axis=1)
     x_mean = X.mean(axis=0)
-    y_mean = y.mean()
     Xc = X - x_mean
-    yc = y - y_mean
+    Yc = Yt - y_means[:, None]
 
     l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
     l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
-    converged = True
+    converged = [True] * len(Yc)
     if l1 == 0.0 and l2 == 0.0:
-        beta = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-    elif l1 == 0.0:
-        gram = Xc.T @ Xc + l2 * np.eye(d)
-        beta = np.linalg.solve(gram, Xc.T @ yc)
+        B = np.array([np.linalg.lstsq(Xc, yc, rcond=None)[0] for yc in Yc]).reshape(len(Yc), d)
     else:
         gram = Xc.T @ Xc
-        corr = Xc.T @ yc
-        beta = _lasso_path(gram, corr, l1, l2, cfg.cd_max_iters)
-        violation = _kkt_violation(gram, corr, beta, l1, l2)
-        converged = violation <= 10.0 * cfg.cd_tolerance
-        if not converged:
-            warnings.warn(
-                f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
-                f"{cfg.cd_max_iters} steps",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        # one right-hand side per column: row p rounds as Xc.T @ Yc[p] does, and a (d, P) one would not
+        corr = (Yc[:, None, :] @ Xc).reshape(len(Yc), d, 1)
+        if l1 == 0.0:
+            B = np.linalg.solve(gram + l2 * np.eye(d), corr)[:, :, 0]
+        else:
+            B = np.empty((len(Yc), d))
+            for p, c in enumerate(corr[:, :, 0]):
+                B[p] = _lasso_path(gram, c, l1, l2, cfg.cd_max_iters)
+                violation = _kkt_violation(gram, c, B[p], l1, l2)
+                converged[p] = violation <= 10.0 * cfg.cd_tolerance
+                if not converged[p]:
+                    warnings.warn(f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
+                                  f"{cfg.cd_max_iters} steps", RuntimeWarning, stacklevel=2)
 
-    intercept = y_mean - x_mean @ beta
-    return LinearModel(coefficients=beta, intercept=intercept, converged=converged)
+    intercepts = y_means - (B[:, None, :] @ x_mean[:, None])[:, 0, 0]
+    models = [LinearModel(coefficients=b, intercept=c, converged=ok) for b, c, ok in zip(B, intercepts, converged)]
+    return models[0] if Y.ndim == 1 else models
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray, l1: float, l2: float) -> float:

@@ -117,11 +117,6 @@ def strategy_to_string(spec: StrategySpec) -> str:
     return _format_spec(spec, read)
 
 
-def _fit_all_tasks(features: np.ndarray, labels: np.ndarray, solver: SolverConfig) -> list[LinearModel]:
-    """One model per label column, all fitted on the same rows."""
-    return [fit(features, labels[:, p], solver) for p in range(labels.shape[1])]
-
-
 class PoolState:
     """The active-learning ledger for one experiment run.
 
@@ -172,7 +167,7 @@ class PoolState:
                 f"have {self.n_labeled}"
             )
         rows = self.labeled
-        self.models = _fit_all_tasks(self.pool.features[rows], self.pool.labels[rows], solver)
+        self.models = fit(self.pool.features[rows], self.pool.labels[rows], solver)
         self.solver = solver
         self._models_k = self.n_labeled
 

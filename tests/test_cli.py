@@ -180,6 +180,17 @@ class TestRunErrors:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pool_smaller_than_k0_names_the_pool_not_k_max(self, tmp_path, synth_csv, capsys):
+        # 1% of 60 rows leaves a pool of 1 sample, and no --k-max was given
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--train-fraction", "0.01", "--out", str(out)]
+        )
+        assert code == 1
+        assert "pool of 1 samples is smaller than k0=3 (one label per feature)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["run", "--data", str(tmp_path / "nope.csv"), "--tasks", "3",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alr import harness
 from alr.dataset import Dataset, SplitConfig, gen_synthetic, normalize_features, split_train_test
 from alr.harness import (
     CURVE_CSV_HEADER,
@@ -18,7 +19,8 @@ from alr.harness import (
     write_curves_csv,
     write_curves_json,
 )
-from alr.regression import SolverConfig, parse_solver
+from alr.metrics import group_fraction, label_std, pearson_cc, rmse
+from alr.regression import SolverConfig, coefficient_mae, fit, parse_solver, predict
 from alr.strategies import SINGLE_TASK_KINDS, parse_strategy
 
 RIDGE_10_K = parse_solver("ridge")
@@ -127,6 +129,73 @@ class TestRunSingle:
             assert 0.0 <= record.group_fraction <= 1.0
         with pytest.raises(ValueError, match="group"):
             run_single(*_split_synthetic(), _cfg(group_value="m"), seed=0)
+
+
+class TestScoringBlocks:
+    """run_single scores its K's in blocks; every record equals scoring that K alone."""
+
+    @staticmethod
+    def _tagged_split():
+        base = gen_synthetic(60, 10, 2, 0.1, seed=2)
+        tagged = Dataset(base.features, base.labels, base.feature_names, base.task_names,
+                         group=tuple("m" if i % 3 == 0 else "f" for i in range(60)))
+        return split_train_test(normalize_features(tagged)[0], SplitConfig(0.4, 2))
+
+    @staticmethod
+    def _per_k_reference(pool, test, cfg, selection):
+        """(k, rmse, cc, coef_mae, label_std, group_fraction, nonconverged) per K, and the
+        bl2 pair, from one-column fits, `predict` and 1-D metric calls."""
+        def models_on(rows):
+            return [fit(pool.features[rows], pool.labels[rows, p], cfg.solver) for p in range(pool.n_tasks)]
+
+        def scores(models):
+            preds = [predict(m, test.features) for m in models]
+            return ([rmse(pr, test.labels[:, p]) for p, pr in enumerate(preds)],
+                    [pearson_cc(pr, test.labels[:, p]) for p, pr in enumerate(preds)])
+
+        reference = models_on(np.arange(pool.n_samples))
+        per_k = []
+        for k in range(pool.n_features, len(selection) + 1):
+            rows = list(selection[:k])
+            models = models_on(rows)
+            per_k.append((
+                k, *scores(models),
+                [coefficient_mae(m.coefficients, r.coefficients) for m, r in zip(models, reference)],
+                [label_std(pool.labels[rows, p]) for p in range(pool.n_tasks)],
+                group_fraction(pool, rows, cfg.group_value),
+                sum(not m.converged for m in models),
+            ))
+        return per_k, scores(reference)
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    # ridge fills every coefficient, so a product rounded otherwise than predict's shows; at
+    # lambda=30 a one-step LASSO path converges at some K's and not at others
+    @pytest.mark.parametrize("solver", ("ridge", "lasso:lambda=30,max_iters=1"))
+    @pytest.mark.parametrize("budget", ("default", "one", "one_k", "two_k_plus_one", "three_k"))
+    def test_records_equal_per_k_scoring(self, monkeypatch, solver, budget):
+        pool, test = self._tagged_split()
+        per_k_size = pool.n_tasks * test.n_samples
+        sizes = {"one": 1, "one_k": per_k_size, "two_k_plus_one": 2 * per_k_size + 1, "three_k": 3 * per_k_size}
+        if budget != "default":
+            monkeypatch.setattr(harness, "_SCORE_BLOCK", sizes[budget])
+        # nine K's (10..18): blocks of 2 leave one K over, blocks of 3 divide them evenly
+        cfg = _cfg(solver=parse_solver(solver), k_max=18, group_value="m")
+        result = run_single(pool, test, cfg, seed=0)
+        per_k, (bl2_rmse, bl2_cc) = self._per_k_reference(pool, test, cfg, result.selection)
+
+        assert np.array_equal(result.bl2_rmse, bl2_rmse) and np.array_equal(result.bl2_cc, bl2_cc, equal_nan=True)
+        assert len(result.records) == len(per_k) == 9
+        for record, (k, rmse_v, cc_v, mae_v, std_v, frac, nonconverged) in zip(result.records, per_k):
+            assert record.k == k
+            assert np.array_equal(record.rmse, rmse_v)
+            assert np.array_equal(record.cc, cc_v, equal_nan=True)
+            assert np.array_equal(record.coef_mae, mae_v)
+            assert np.array_equal(record.label_std, std_v, equal_nan=True)
+            assert record.group_fraction == frac
+            assert record.nonconverged == nonconverged
+        # the per-K counts and fractions that cross the block edges are not all alike
+        assert len({r.nonconverged for r in result.records}) > 1 or solver == "ridge"
+        assert len({r.group_fraction for r in result.records}) > 1
 
 
 class TestRunExperiment:

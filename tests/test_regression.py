@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from alr.regression import (
     resolve_lambda,
     solver_to_string,
 )
+from alr.regression import _kkt_violation, _lasso_path
 
 
 def _kkt_residual(X, y, model, l1, l2):
@@ -238,6 +240,93 @@ class TestLassoPathOracle:
         assert objective(model.coefficients) <= objective(oracle) * (1.0 + 1e-9)
         if oracle_converged and np.linalg.cond(Xc.T @ Xc + l2 * np.eye(d)) <= 1e6:
             assert np.abs(model.coefficients - oracle).max() <= 10.0 * self.TOL
+
+
+def _one_column_fit(X, y, cfg):
+    """(coefficients, intercept, converged) from one target vector, by the 1-D arithmetic:
+    its own mean, `Xc.T @ yc`, a one-vector solve and `x_mean @ beta`."""
+    k, d = X.shape
+    lam = cfg.lam / k if cfg.lambda_over_k == "labeled" else cfg.lam
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
+    l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
+    l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
+    converged = True
+    if l1 == 0.0 and l2 == 0.0:
+        beta = np.linalg.lstsq(Xc, yc, rcond=None)[0]
+    elif l1 == 0.0:
+        beta = np.linalg.solve(Xc.T @ Xc + l2 * np.eye(d), Xc.T @ yc)
+    else:
+        gram, corr = Xc.T @ Xc, Xc.T @ yc
+        beta = _lasso_path(gram, corr, l1, l2, cfg.cd_max_iters)
+        converged = _kkt_violation(gram, corr, beta, l1, l2) <= 10.0 * cfg.cd_tolerance
+    return beta, y_mean - x_mean @ beta, converged
+
+
+class TestMultiTarget:
+    """(k, P) targets give P models, each bit for bit the fit to its column alone."""
+
+    SOLVERS = (
+        SolverConfig("ols"),
+        SolverConfig("ridge", lam=0.7),
+        SolverConfig("ridge", lam=10.0, lambda_over_k="labeled"),
+        SolverConfig("lasso", lam=1e-3),
+        SolverConfig("lasso", lam=1e-3, cd_max_iters=1),
+        SolverConfig("elastic_net", lam=0.01, lam2=0.1),
+    )
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        # k < d gives rank-deficient designs
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 8), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        duplicate=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        cfg=st.sampled_from(SOLVERS),
+    )
+    def test_each_column_equals_its_own_fit(self, shape, seed, duplicate, log_scale, cfg):
+        k, d, p = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k, d)) * 10.0**log_scale
+        if duplicate:
+            X[:, -1] = X[:, 0]
+        Y = X @ rng.standard_normal((d, p)) + rng.standard_normal((k, p)) * 10.0**log_scale
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            models = fit(X, Y, cfg)
+            singles = [fit(X, Y[:, j], cfg) for j in range(p)]
+        assert isinstance(models, list) and len(models) == p
+        # one warning per non-converged column, from the batched and the single fits alike
+        assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
+        assert len(caught) == 2 * sum(not m.converged for m in models)
+        for j, (model, single) in enumerate(zip(models, singles)):
+            beta, intercept, converged = _one_column_fit(X, Y[:, j], cfg)
+            for m in (model, single):
+                assert np.array_equal(m.coefficients, beta)
+                assert m.intercept == intercept
+                assert m.converged == converged
+
+    def test_one_warning_per_nonconverged_column(self):
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal(60)
+        X = np.column_stack([base + 0.01 * rng.standard_normal(60) for _ in range(4)])
+        y = X @ np.array([1.0, -2.0, 3.0, -1.0]) + 0.1 * rng.standard_normal(60)
+        # a constant column starts and ends its path at beta = 0, so it converges
+        Y = np.column_stack([y, np.full(60, 2.0), -y])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            models = fit(X, Y, SolverConfig("lasso", lam=1e-6, cd_max_iters=1))
+        assert [m.converged for m in models] == [False, True, False]
+        assert len(caught) == 2 and all(w.category is RuntimeWarning for w in caught)
+
+    def test_bad_target_shapes_rejected(self):
+        X = np.ones((4, 2))
+        with pytest.raises(ValueError, match="targets must be 1-D or 2-D"):
+            fit(X, np.ones((4, 2, 1)), SolverConfig("ols"))
+        with pytest.raises(ValueError, match="3 targets for 4 rows"):
+            fit(X, np.ones((3, 2)), SolverConfig("ols"))
+        with pytest.raises(ValueError, match="3 targets for 4 rows"):
+            fit(X, np.ones(3), SolverConfig("ols"))
 
 
 class TestPredict:
