@@ -55,6 +55,13 @@ def _json_twin(out) -> Path:
     return twin
 
 
+def _require_not_data(data, *outs) -> None:
+    """No output path may name the --data file: writing it would replace the input dataset."""
+    for out in outs:
+        if Path(out).resolve() == Path(data).resolve():
+            raise ValueError(f"--out: {out} is the --data file; the output would overwrite the dataset")
+
+
 def _k_spans(ks: list[int]) -> str:
     """Ascending K values as runs, e.g. [46, 47, 48, 50] -> "46..48,50"."""
     spans = []
@@ -95,6 +102,7 @@ def cmd_normalize(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     _require_directory("--out", args.out)
     json_out = _json_twin(args.out)
+    _require_not_data(args.data, args.out, json_out)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     if args.focus_task is not None and not 0 <= args.focus_task < data.n_tasks:
@@ -237,6 +245,7 @@ def cmd_saved_queries(args, parser) -> int:
 
 def cmd_unique_queries(args, parser) -> int:
     _require_directory("--out", args.out)
+    _require_not_data(args.data, args.out)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     mt_spec = parse_strategy({"gsy": "mt_gsy", "igs": "mt_igs"}[args.family])

@@ -6,8 +6,9 @@ configured strategy, refit all per-task models after every query, and score
 them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
-A run keeps each K's models and scores them after the query loop in blocks
-of K's, one stacked prediction and one call per metric per block, each score
+A run is queried, then scored: the query loop returns the final selection and
+every K's models, and `run_single` scores the finished run in one pass, test
+predictions in blocks of K's with one call per metric per block, each score
 bit for bit that K's alone. `_SCORE_BLOCK` bounds a block's predictions.
 
 Runs execute one after another and derive their seeds as
@@ -108,36 +109,29 @@ class RunResult:
     bl2_cc: np.ndarray
 
 
-def _block_scores(block, test: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients (b, tasks, d), test RMSE and CC (b, tasks) of b K's models. Entry (i, p) is
-    bit for bit the score of `predict(block[i][p], test.features)`: each prediction row is a
-    (1, d) @ (d, n) product, and the metrics reduce row by row."""
-    coefs = np.array([[m.coefficients for m in models] for models in block])
-    intercepts = np.array([[m.intercept for m in models] for models in block])
+def _stacked(model_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (b, tasks, d) and intercepts (b, tasks) of b lists of task models."""
+    return (np.array([[m.coefficients for m in models] for models in model_lists]),
+            np.array([[m.intercept for m in models] for models in model_lists]))
+
+
+def _block_scores(coefs: np.ndarray, intercepts: np.ndarray, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Test RMSE and CC (b, tasks) of b K's stacked models. Entry (i, p) is bit for bit the
+    score of `predict` on model (i, p): each prediction row is a (1, d) @ (d, n) product, and
+    the metrics reduce row by row."""
     preds = (coefs[:, :, None, :] @ test.features.T)[:, :, 0, :] + intercepts[:, :, None]
     truth = np.broadcast_to(test.labels.T, preds.shape)
-    return coefs, rmse(preds, truth), pearson_cc(preds, truth)
-
-
-def _block_records(pending, test: Dataset, reference_coefs: np.ndarray) -> list[MetricRecord]:
-    """The MetricRecords of pending (k, models, label_std, group_fraction) entries, scored as one block."""
-    coefs, rmse_b, cc_b = _block_scores([models for _, models, _, _ in pending], test)
-    mae_b = coefficient_mae(coefs, np.broadcast_to(reference_coefs, coefs.shape))
-    return [
-        MetricRecord(k=k, rmse=rmse_v, cc=cc_v, coef_mae=mae_v, label_std=std, group_fraction=frac,
-                     nonconverged=sum(not m.converged for m in models))
-        for (k, models, std, frac), rmse_v, cc_v, mae_v in zip(pending, rmse_b, cc_b, mae_b)
-    ]
+    return rmse(preds, truth), pearson_cc(preds, truth)
 
 
 def _queries(
     pool: Dataset, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seed: int
-) -> Iterator[PoolState]:
+) -> tuple[PoolState, list[list]]:
     """The query loop: label one pool sample per step and refit every task from k0 on.
 
-    Yields the state after each refit, K = k0..k_max. A budget-scaled lambda
-    is resolved against k_max before the first fit, so state.solver holds the
-    solver every fit of the run used.
+    Returns the final state and the task models fitted at K = k0..k_max. A
+    budget-scaled lambda is resolved against k_max before the first fit, so
+    state.solver holds the solver every fit of the run used.
     """
     state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     if k_max is None and pool.n_samples < state.k0:
@@ -148,49 +142,51 @@ def _queries(
             f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
         )
     solver = resolve_lambda(solver, budget=k_max)
+    models = []
     while state.n_labeled < k_max:
         state.add(select_next(state, strategy))
         if state.n_labeled >= state.k0:
             state.fit_models(solver)
-            yield state
+            models.append(state.models)
+    return state, models
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
     """Run one active-learning pass over a fixed pool/test split.
 
     Queries one sample per iteration until the pool is exhausted or
-    cfg.k_max is reached. All per-task models are refit from scratch after
+    cfg.k_max is reached, refitting all per-task models from scratch after
     every query (single-task strategies still fit every task for
-    evaluation), and a MetricRecord is emitted for each K >= k0, counting
-    the task models that did not converge. Coefficient MAE is measured
-    against the full-pool reference model.
+    evaluation). The finished run is then scored: a MetricRecord for each
+    K >= k0, counting the task models that did not converge, with test
+    scores computed in blocks of K's and coefficient MAE measured against
+    the full-pool reference model.
     """
     if pool.n_features != test.n_features or pool.n_tasks != test.n_tasks:
         raise ValueError("pool and test must share feature and task dimensions")
     if cfg.group_value is not None and pool.group is None:
         raise ValueError("group_value set but the pool has no group column")
-    if seed is None:
-        seed = cfg.seed
+    state, models = _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, cfg.seed if seed is None else seed)
 
-    block_size = max(1, _SCORE_BLOCK // (pool.n_tasks * test.n_samples))
-    records: list[MetricRecord] = []
-    pending: list[tuple[int, list, np.ndarray, float | None]] = []  # (k, models, label_std, group_fraction)
-    for state in _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, seed):
-        if state.n_labeled == state.k0:  # the reference fit needs the solver as the loop resolved it
-            reference = [fit(pool.features, pool.labels, state.solver)]
-            reference_coefs, bl2_rmse, bl2_cc = (scores[0] for scores in _block_scores(reference, test))
-        frac = (
-            group_fraction(pool, state.labeled, cfg.group_value)
-            if cfg.group_value is not None
-            else None
+    ref_coefs, ref_intercepts = _stacked([fit(pool.features, pool.labels, state.solver)])
+    bl2_rmse, bl2_cc = (scores[0] for scores in _block_scores(ref_coefs, ref_intercepts, test))
+
+    coefs, intercepts = _stacked(models)
+    block = max(1, _SCORE_BLOCK // (pool.n_tasks * test.n_samples))
+    blocks = [_block_scores(coefs[i:i + block], intercepts[i:i + block], test) for i in range(0, len(coefs), block)]
+    rmse_k, cc_k = (np.concatenate(scores) for scores in zip(*blocks))
+    mae_k = coefficient_mae(coefs, np.broadcast_to(ref_coefs, coefs.shape))
+
+    labels = pool.labels[state.labeled].T
+    records = tuple(
+        MetricRecord(
+            k=k, rmse=rmse_k[i], cc=cc_k[i], coef_mae=mae_k[i], label_std=label_std(labels[:, :k]),
+            group_fraction=None if cfg.group_value is None else group_fraction(pool, state.labeled[:k], cfg.group_value),
+            nonconverged=sum(not m.converged for m in models[i]),
         )
-        pending.append((state.n_labeled, state.models, label_std(pool.labels[state.labeled].T), frac))
-        if len(pending) == block_size:
-            records += _block_records(pending, test, reference_coefs)
-            pending = []
-    if pending:
-        records += _block_records(pending, test, reference_coefs)
-    return RunResult(records=tuple(records), selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
+        for i, k in enumerate(range(state.k0, state.n_labeled + 1))
+    )
+    return RunResult(records=records, selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
 
 
 def selection_sequence(
@@ -201,9 +197,7 @@ def selection_sequence(
     seed: int = 0,
 ) -> list[int]:
     """The ordered query sequence a strategy produces on a fixed pool (run_single's loop)."""
-    for state in _queries(pool, strategy, solver, k_max, seed):
-        pass
-    return list(state.labeled)
+    return list(_queries(pool, strategy, solver, k_max, seed)[0].labeled)
 
 
 @dataclass(frozen=True)
@@ -322,7 +316,8 @@ def saved_queries(
     For RMSE the threshold is (100+alpha)% of the full-pool value (reached
     from above); for CC it is (100-alpha)% (reached from below). Returns, per
     task, the pair (K for curve_a, K for curve_ref); None marks a curve that
-    never attains the threshold.
+    never attains the threshold. A full-pool value undefined (NaN) on both
+    curves agrees with itself and gives no threshold, so that task is (None, None).
     """
     if measure not in ("rmse", "cc"):
         raise ValueError("measure must be 'rmse' or 'cc'")
@@ -335,7 +330,8 @@ def saved_queries(
     for task in curve_a.task_names:
         ref_bl2 = _curve_bl2(curve_ref, measure, task)
         a_bl2 = _curve_bl2(curve_a, measure, task)
-        if not math.isclose(ref_bl2, a_bl2, rel_tol=1e-6, abs_tol=1e-12):
+        both_undefined = math.isnan(ref_bl2) and math.isnan(a_bl2)
+        if not both_undefined and not math.isclose(ref_bl2, a_bl2, rel_tol=1e-6, abs_tol=1e-12):
             raise ValueError(
                 f"curves disagree on the full-pool reference for task '{task}': "
                 f"{a_bl2} vs {ref_bl2}"

@@ -170,6 +170,23 @@ class TestRunErrors:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    @pytest.mark.parametrize("data_name, out_name", [("d.csv", "d.csv"), ("d.csv", "sub/../d.csv"), ("d.json", "d.csv")])
+    def test_out_naming_the_data_file_exits_1_and_keeps_it(self, tmp_path, capsys, data_name, out_name):
+        (tmp_path / "sub").mkdir()
+        data = tmp_path / data_name
+        assert main(["synth", "--n", "40", "--d", "3", "--p", "3", "--seed", "1", "--out", str(data)]) == 0
+        before = data.read_bytes()
+        capsys.readouterr()
+        code = main(
+            ["run", "--data", str(data), "--tasks", "3", "--strategy", "random",
+             "--runs", "2", "--k-max", "4", "--out", str(tmp_path / out_name)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: --out: " in captured.err and "is the --data file" in captured.err
+        assert captured.out == ""
+        assert data.read_bytes() == before
+
     def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "c.csv"
         code = main(
@@ -480,6 +497,21 @@ class TestSavedQueries:
         assert code == 1
         assert "error: random: no bl2_rmse value for task 'v' at K=3" in capsys.readouterr().err
 
+    def test_undefined_full_pool_cc_leaves_its_columns_blank(self, tmp_path):
+        # lambda=100 LASSO predicts a constant, so CC is NaN at every K and at the full pool
+        for name, strategy in (("ref.csv", "random"), ("cand.csv", "gsy:task=1")):
+            _write_curve_csv(tmp_path / name, strategy, {"rmse": {5: 0.3, 6: 0.2}, "cc": {5: "nan", 6: "nan"}},
+                             {"bl2_rmse": 0.2, "bl2_cc": "nan"}, solver="lasso:lambda=100")
+        out = tmp_path / "saved.csv"
+        code = main(
+            ["saved-queries", "--curves", str(tmp_path / "cand.csv"), "--reference", str(tmp_path / "ref.csv"),
+             "--alpha", "1", "--out", str(out)]
+        )
+        assert code == 0
+        rows = {row["measure"]: row for row in _rows(out)}
+        assert (rows["rmse"]["k_reference"], rows["rmse"]["k_curve"]) == ("6", "6")
+        assert rows["cc"]["k_reference"] == rows["cc"]["k_curve"] == rows["cc"]["saving_pct"] == ""
+
 
 class TestUniqueQueries:
     def test_single_task_union_equals_multitask(self, tmp_path):
@@ -502,6 +534,16 @@ class TestUniqueQueries:
         )
         assert code == 1
         assert f"--out: no such directory: {out.parent}" in capsys.readouterr().err
+
+    def test_out_naming_the_data_file_exits_1_and_keeps_it(self, tmp_path, synth_csv, capsys):
+        before = synth_csv.read_bytes()
+        code = main(
+            ["unique-queries", "--data", str(synth_csv), "--tasks", "3", "--family", "igs",
+             "--k-max", "10", "--out", str(synth_csv)]
+        )
+        assert code == 1
+        assert f"--out: {synth_csv} is the --data file" in capsys.readouterr().err
+        assert synth_csv.read_bytes() == before
 
     def test_multitask_bounds(self, tmp_path, synth_csv):
         out = tmp_path / "uq.csv"

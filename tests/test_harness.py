@@ -315,6 +315,23 @@ class TestSavedQueries:
         with pytest.raises(ValueError, match="reference"):
             saved_queries(a, ref, alpha=5)
 
+    def test_undefined_references_agree_and_reach_no_threshold(self):
+        # constant predictions leave CC undefined on the curve and at the full pool alike
+        ks = (5, 6)
+        a = self._curve("gsy:task=1", ks, {"y": [math.nan, math.nan], "z": [0.3, 0.95]},
+                        {"y": math.nan, "z": 1.0}, measure="cc")
+        ref = self._curve("random", ks, {"y": [math.nan, math.nan], "z": [0.3, 0.91]},
+                          {"y": math.nan, "z": 1.0}, measure="cc")
+        assert saved_queries(a, ref, alpha=10, measure="cc") == {"y": (None, None), "z": (6, 6)}
+
+    def test_undefined_against_finite_reference_rejected(self):
+        ks = (5, 6)
+        a = self._curve("igs", ks, {"y": [0.3, 0.5]}, {"y": math.nan}, measure="cc")
+        ref = self._curve("random", ks, {"y": [0.3, 0.5]}, {"y": 0.9}, measure="cc")
+        for curve, reference in ((a, ref), (ref, a)):
+            with pytest.raises(ValueError, match="reference"):
+                saved_queries(curve, reference, alpha=5, measure="cc")
+
 
 class TestSharedQueryLoop:
     @pytest.mark.parametrize("kind", ALL_KINDS)
