@@ -55,11 +55,10 @@ def _json_twin(out) -> Path:
     return twin
 
 
-def _require_not_data(data, *outs) -> None:
-    """No output path may name the --data file: writing it would replace the input dataset."""
-    for out in outs:
-        if Path(out).resolve() == Path(data).resolve():
-            raise ValueError(f"--out: {out} is the --data file; the output would overwrite the dataset")
+def _require_not_input(flag: str, out, input_flag: str, *inputs) -> None:
+    """The output path `out` (None for stdout) may not name an input file: writing it would replace that input."""
+    if out is not None and any(Path(out).resolve() == Path(path).resolve() for path in inputs):
+        raise ValueError(f"{flag}: {out} is the {input_flag} file; the output would overwrite it")
 
 
 def _k_spans(ks: list[int]) -> str:
@@ -88,8 +87,8 @@ def cmd_normalize(args, parser) -> int:
     _require_directory("--out", args.out)
     if args.params_out:
         _require_directory("--params-out", args.params_out)
-        if Path(args.params_out).resolve() == Path(args.out).resolve():
-            raise ValueError(f"--params-out: {args.params_out} is the --out file; the statistics would overwrite the CSV")
+        _require_not_input("--params-out", args.params_out, "--out", args.out)
+        _require_not_input("--params-out", args.params_out, "--data", args.data)
     data = _load_dataset(args)
     normalized, params = normalize_features(data)
     write_csv(normalized, args.out, group_column=args.group_column or "group")
@@ -102,7 +101,8 @@ def cmd_normalize(args, parser) -> int:
 def cmd_run(args, parser) -> int:
     _require_directory("--out", args.out)
     json_out = _json_twin(args.out)
-    _require_not_data(args.data, args.out, json_out)
+    for out in (args.out, json_out):
+        _require_not_input("--out", out, "--data", args.data)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     if args.focus_task is not None and not 0 <= args.focus_task < data.n_tasks:
@@ -167,6 +167,8 @@ def _write_rows(path: str | None, header, rows) -> None:
 
 
 def cmd_compare(args, parser) -> int:
+    _require_not_input("--out", args.out, "--baseline", args.baseline)
+    _require_not_input("--out", args.out, "--curves", *args.curves)
     baseline = _single_curve(args.baseline)
     ks = _parse_list(args.k, "--k")
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
@@ -209,6 +211,8 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_saved_queries(args, parser) -> int:
+    _require_not_input("--out", args.out, "--reference", args.reference)
+    _require_not_input("--out", args.out, "--curves", *args.curves)
     reference = _single_curve(args.reference)
     alphas = _parse_list(args.alpha, "--alpha", float)
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
@@ -245,7 +249,7 @@ def cmd_saved_queries(args, parser) -> int:
 
 def cmd_unique_queries(args, parser) -> int:
     _require_directory("--out", args.out)
-    _require_not_data(args.data, args.out)
+    _require_not_input("--out", args.out, "--data", args.data)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     mt_spec = parse_strategy({"gsy": "mt_gsy", "igs": "mt_igs"}[args.family])

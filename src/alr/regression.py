@@ -19,6 +19,9 @@ guard: a fit is converged when the KKT residual is at most 10·tol.
 
 :func:`fit` on (k, P) targets centres X and forms XcᵀXc once for all P columns, and
 solves each column alone, so each model is bit for bit the fit to that column.
+(B, k, d) features with (B, k) targets add a leading member axis: B designs,
+each centred and solved on its own in the same stacked calls, so each model is
+bit for bit the fit to that member's rows. A 2-D call is the one-member case.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
 def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]:
     """Fit one linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
 
+    (B, k, d) features with (B, k) targets are B separate problems on a leading
+    member axis (a committee's bootstrap resamples, say): the result is a list of
+    B models, each bit for bit the fit to its member's rows alone.
+
     The penalty applied is cfg.lam, or cfg.lam / k on k rows when
     cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
     penalty never touches it. OLS on a rank-deficient design falls back to
@@ -134,15 +141,22 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]
     """
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {X.shape}")
-    if Y.ndim not in (1, 2):
+    if X.ndim == 3:
+        if Y.ndim != 2 or len(Y) != len(X):
+            raise ValueError(f"features of shape {X.shape} need targets of shape ({len(X)}, k), got {Y.shape}")
+        Yt = Y[:, None, :]
+    elif X.ndim != 2:
+        raise ValueError(f"features must be 2-D, or 3-D with a leading member axis, got shape {X.shape}")
+    elif Y.ndim not in (1, 2):
         raise ValueError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
-    k, d = X.shape
+    else:
+        X, Yt = X[None], (Y[:, None] if Y.ndim == 1 else Y).T[None]
+    # X is (M, k, d) and Yt (M, P, k): M members of P tasks each, one problem per (member, task)
+    n_members, k, d = X.shape
     if k < 1:
         raise ValueError("need at least one training row")
-    if len(Y) != k:
-        raise ValueError(f"{len(Y)} targets for {k} rows")
+    if Yt.shape[-1] != k:
+        raise ValueError(f"{Yt.shape[-1]} targets for {k} rows")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise ValueError("training data must be finite")
     if cfg.lambda_over_k == "budget":
@@ -151,35 +165,39 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]
         )
     lam = cfg.lam / k if cfg.lambda_over_k == "labeled" else cfg.lam
 
-    Yt = np.ascontiguousarray(Y.T).reshape(-1, k)  # (P, k): each mean and product runs along a contiguous row
-    y_means = Yt.mean(axis=1)
-    x_mean = X.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Yt - y_means[:, None]
+    Yt = np.ascontiguousarray(Yt)  # each mean and product runs along a contiguous row
+    n_tasks = Yt.shape[1]
+    y_means = Yt.mean(axis=2)
+    x_mean = X.mean(axis=1)
+    Xc = X - x_mean[:, None, :]
+    Yc = Yt - y_means[:, :, None]
 
     l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
     l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
-    converged = [True] * len(Yc)
+    converged = [True] * (n_members * n_tasks)
     if l1 == 0.0 and l2 == 0.0:
-        B = np.array([np.linalg.lstsq(Xc, yc, rcond=None)[0] for yc in Yc]).reshape(len(Yc), d)
+        B = np.array([np.linalg.lstsq(xc, yc, rcond=None)[0] for xc, ycs in zip(Xc, Yc) for yc in ycs])
+        B = B.reshape(n_members, n_tasks, d)
     else:
-        gram = Xc.T @ Xc
-        # one right-hand side per column: row p rounds as Xc.T @ Yc[p] does, and a (d, P) one would not
-        corr = (Yc[:, None, :] @ Xc).reshape(len(Yc), d, 1)
+        gram = Xc.swapaxes(1, 2) @ Xc  # both operands view one buffer, so each item is a syrk, as 2-D Xc.T @ Xc
+        # one right-hand side per task: each rounds as Xc.T @ Yc[p] does, and a (d, P) one would not
+        corr = (Yc[:, :, None, :] @ Xc[:, None]).reshape(n_members, n_tasks, d, 1)
         if l1 == 0.0:
-            B = np.linalg.solve(gram + l2 * np.eye(d), corr)[:, :, 0]
+            B = np.linalg.solve((gram + l2 * np.eye(d))[:, None], corr)[..., 0]
         else:
-            B = np.empty((len(Yc), d))
-            for p, c in enumerate(corr[:, :, 0]):
-                B[p] = _lasso_path(gram, c, l1, l2, cfg.cd_max_iters)
-                violation = _kkt_violation(gram, c, B[p], l1, l2)
-                converged[p] = violation <= 10.0 * cfg.cd_tolerance
-                if not converged[p]:
+            B = np.empty((n_members, n_tasks, d))
+            for i, (m, p) in enumerate(np.ndindex(n_members, n_tasks)):
+                c = corr[m, p, :, 0]
+                B[m, p] = _lasso_path(gram[m], c, l1, l2, cfg.cd_max_iters)
+                violation = _kkt_violation(gram[m], c, B[m, p], l1, l2)
+                converged[i] = violation <= 10.0 * cfg.cd_tolerance
+                if not converged[i]:
                     warnings.warn(f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
                                   f"{cfg.cd_max_iters} steps", RuntimeWarning, stacklevel=2)
 
-    intercepts = y_means - (B[:, None, :] @ x_mean[:, None])[:, 0, 0]
-    models = [LinearModel(coefficients=b, intercept=c, converged=ok) for b, c, ok in zip(B, intercepts, converged)]
+    intercepts = y_means - (B[:, :, None, :] @ x_mean[:, None, :, None])[..., 0, 0]
+    models = [LinearModel(coefficients=b, intercept=c, converged=ok)
+              for b, c, ok in zip(B.reshape(-1, d), intercepts.ravel(), converged)]
     return models[0] if Y.ndim == 1 else models
 
 

@@ -15,9 +15,14 @@ Regression" (ICDM 2010); gsy samples one task's output space; igs balances
 diversity in both. The product is taken per labeled sample before the min,
 so rescaling one task rescales every score alike and no task dominates.
 D_x comes from a ledger that computes each labeled sample's distances once.
+gsx (and the warm-up phase of every greedy kind) reads the ledger's running
+min, a nearest-label distance per pool sample updated as each row is added;
+the other kinds build their factors for a cache-sized block of labeled rows
+at a time and keep a running min over blocks. Either way every score has the
+bits of the min over one labeled x candidates matrix.
 
 The committee rules score the focus task t with B bootstrap refits f_b of
-its model (B = committee_size):
+its model (B = committee_size), fitted together in one stacked fit call:
 
     qbc     score(n) = var_b f_b(x_n)
     emcm    score(n) = mean_b |f_t(x_n) - f_b(x_n)| * ||x_n||
@@ -140,6 +145,7 @@ class PoolState:
         self._features_t = np.ascontiguousarray(pool.features.T)
         self._distances = np.empty((0, pool.n_samples))
         self._n_distances = 0
+        self._nearest = np.full(pool.n_samples, np.inf)
 
     @property
     def n_labeled(self) -> int:
@@ -195,8 +201,15 @@ class PoolState:
         for m in range(done, k):
             diff = self._features_t - self.pool.features[self.labeled[m], :, None]
             self._distances[m] = np.sqrt((diff * diff).sum(axis=0))
+            np.minimum(self._nearest, self._distances[m], out=self._nearest)
         self._n_distances = k
         return self._distances[:k]
+
+    def _nearest_distances(self) -> np.ndarray:
+        """Every pool sample's distance to its nearest labeled sample: the ledger's min over rows,
+        folded in as each row is computed (`min` is exact, so the order does not matter)."""
+        self._labeled_distances()
+        return self._nearest
 
     def _require_models(self) -> list[LinearModel]:
         if self.models is None:
@@ -206,29 +219,42 @@ class PoolState:
         return self.models
 
 
+_GREEDY_BLOCK = 1 << 15  # elements of one labeled x candidates factor block, about 256 KB
+
+
 def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tasks) -> np.ndarray:
     """The greedy score of each candidate, as in the module docstring.
 
-    Factors are labeled x candidates. The task gaps multiply left to right,
-    then the input distance; the floating-point scores depend on that order.
+    With no tasks the score is the nearest-label distance. Otherwise the factors
+    are built for a block of labeled rows x candidates at a time, and each
+    block's min is folded into a running one. The task gaps multiply left to
+    right, then the input distance; the floating-point scores depend on that order.
     """
-    candidates = state.pool.features[unlabeled]
-    scores = None
-    for t in tasks:
-        preds = predict(state._require_models()[t], candidates)
-        gaps = np.abs(preds[None, :] - state.pool.labels[state.labeled, t][:, None])
-        scores = gaps if scores is None else np.multiply(scores, gaps, out=scores)
-    if use_input:
-        distances = state._labeled_distances().take(unlabeled, axis=1)
-        scores = distances if scores is None else np.multiply(distances, scores, out=distances)
-    return scores.min(axis=0)
+    if not tasks:
+        return state._nearest_distances()[unlabeled]
+    models = state._require_models()
+    preds = [predict(models[t], state.pool.features[unlabeled]) for t in tasks]
+    labels = state.pool.labels[state.labeled]
+    ledger = state._labeled_distances() if use_input else None
+    best = np.full(unlabeled.size, np.inf)
+    step = max(1, _GREEDY_BLOCK // unlabeled.size)
+    for i in range(0, state.n_labeled, step):
+        scores = None
+        for t, pred in zip(tasks, preds):
+            gaps = np.subtract(pred, labels[i:i + step, t, None])
+            np.abs(gaps, out=gaps)
+            scores = gaps if scores is None else np.multiply(scores, gaps, out=scores)
+        if use_input:
+            scores = np.multiply(ledger[i:i + step].take(unlabeled, axis=1), scores, out=scores)
+        np.minimum(best, scores.min(axis=0), out=best)
+    return best
 
 
 def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
     # redraw until the resample holds at least 2 distinct rows
     while True:
         idx = rng.integers(0, k, size=k)
-        if np.unique(idx).size >= 2:
+        if (idx != idx[0]).any():
             return idx
 
 
@@ -243,10 +269,12 @@ def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpe
     X = state.pool.features[state.labeled]
     y = state.pool.labels[state.labeled, task]
     candidates = state.pool.features[unlabeled]
-    boot = np.empty((spec.committee_size, unlabeled.size))
-    for b in range(spec.committee_size):
-        idx = _bootstrap_indices(state.rng, state.n_labeled)
-        boot[b] = predict(fit(X[idx], y[idx], state.solver), candidates)
+    idx = np.array([_bootstrap_indices(state.rng, state.n_labeled) for _ in range(spec.committee_size)])
+    members = fit(X[idx], y[idx], state.solver)
+    coefs = np.array([m.coefficients for m in members])
+    intercepts = np.array([m.intercept for m in members])
+    # one matrix-vector product per member, as predict() makes
+    boot = (candidates @ coefs[:, :, None])[..., 0] + intercepts[:, None]
     if spec.kind == "qbc":
         return boot.var(axis=0)
     mean_gap = np.abs(predict(main, candidates)[None, :] - boot).mean(axis=0)

@@ -90,6 +90,19 @@ class TestSynthAndNormalize:
         assert f"--params-out: {tmp_path / params_name} is the --out file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_params_out_naming_the_data_file_exits_1_and_keeps_it(self, tmp_path, synth_csv, capsys):
+        (tmp_path / "sub").mkdir()
+        params = tmp_path / "sub" / ".." / synth_csv.name
+        before = synth_csv.read_bytes()
+        out = tmp_path / "n.csv"
+        code = main(
+            ["normalize", "--data", str(synth_csv), "--tasks", "3", "--out", str(out), "--params-out", str(params)]
+        )
+        assert code == 1
+        assert f"--params-out: {params} is the --data file" in capsys.readouterr().err
+        assert synth_csv.read_bytes() == before
+        assert not out.exists()
+
     def test_normalize_preserves_group_column_name(self, tmp_path):
         data = tmp_path / "g.csv"
         data.write_text("f1,gender,v\n1.0,m,0.1\n2.0,f,0.2\n3.0,m,0.3\n")
@@ -431,6 +444,26 @@ class TestCompare:
         )
         assert code == 1
         assert "error: random: no cc value for task 'v' at K=50" in capsys.readouterr().err
+
+
+def _two_curve_files(tmp_path):
+    baseline, candidate = tmp_path / "bl1.csv", tmp_path / "emcm.csv"
+    _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+    _write_curve_csv(candidate, "emcm:task=0", {"rmse": {50: 0.3}}, {"bl2_rmse": 0.2})
+    return baseline, candidate
+
+
+@pytest.mark.parametrize("command, reference_flag", [("compare", "--baseline"), ("saved-queries", "--reference")])
+@pytest.mark.parametrize("target", ["reference", "curves"])
+def test_out_naming_an_input_curve_file_exits_1_and_keeps_it(tmp_path, capsys, command, reference_flag, target):
+    reference, curves = _two_curve_files(tmp_path)
+    out = reference if target == "reference" else curves
+    before = {path: path.read_bytes() for path in (reference, curves)}
+    code = main([command, reference_flag, str(reference), "--curves", str(curves), "--out", str(out)])
+    assert code == 1
+    flag = reference_flag if target == "reference" else "--curves"
+    assert f"--out: {out} is the {flag} file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in (reference, curves)} == before
 
 
 class TestSavedQueries:

@@ -329,6 +329,52 @@ class TestMultiTarget:
             fit(X, np.ones(3), SolverConfig("ols"))
 
 
+class TestMemberAxis:
+    """(B, k, d) features with (B, k) targets give B models, each bit for bit the 2-D fit to its member."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        # TestMultiTarget's draws, with the third entry read as the member count
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 8), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        duplicate=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        cfg=st.sampled_from(TestMultiTarget.SOLVERS),
+    )
+    def test_each_member_equals_its_own_fit(self, shape, seed, duplicate, log_scale, cfg):
+        k, d, b = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((k, d)) * 10.0**log_scale
+        if duplicate:
+            X[:, -1] = X[:, 0]
+        y = X @ rng.standard_normal(d) + rng.standard_normal(k) * 10.0**log_scale
+        idx = rng.integers(0, k, size=(b, k))  # bootstrap resamples, as a committee draws them
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            members = fit(X[idx], y[idx], cfg)
+            singles = [fit(X[rows], y[rows], cfg) for rows in idx]
+        assert isinstance(members, list) and len(members) == b
+        # one warning per non-converged member, from the batched and the single fits alike
+        assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
+        assert len(caught) == 2 * sum(not m.converged for m in members)
+        for rows, member, single in zip(idx, members, singles):
+            beta, intercept, converged = _one_column_fit(X[rows], y[rows], cfg)
+            for m in (member, single):
+                assert np.array_equal(m.coefficients, beta)
+                assert m.intercept == intercept
+                assert m.converged == converged
+
+    def test_mismatched_member_axis_rejected(self):
+        X = np.ones((3, 4, 2))
+        for targets in (np.ones((2, 4)), np.ones(4), np.ones((3, 4, 1))):
+            with pytest.raises(ValueError, match=r"need targets of shape \(3, k\)"):
+                fit(X, targets, SolverConfig("ols"))
+        with pytest.raises(ValueError, match="5 targets for 4 rows"):
+            fit(X, np.ones((3, 5)), SolverConfig("ols"))
+        with pytest.raises(ValueError, match="features must be 2-D, or 3-D"):
+            fit(np.ones((1, 3, 4, 2)), np.ones((1, 3, 4)), SolverConfig("ols"))
+
+
 class TestPredict:
     def test_converged_is_keyword_only(self):
         # a third positional argument (the solver a model once carried) must not bind to converged

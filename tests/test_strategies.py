@@ -1,4 +1,6 @@
+import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from scipy.spatial.distance import cdist
 import bruteforce
 from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance
 
+from alr import strategies
 from alr.harness import selection_sequence
-from alr.regression import LinearModel, SolverConfig, predict
+from alr.regression import LinearModel, SolverConfig, fit, predict
 from alr.strategies import (
     SINGLE_TASK_KINDS,
     STRATEGY_KINDS,
     PoolState,
     StrategySpec,
+    _committee_scores,
     _greedy_scores,
     k0_default,
     parse_strategy,
@@ -453,6 +457,95 @@ class TestDistanceLedger:
                 assert np.array_equal(_greedy_scores(state, unlabeled, True, phase_tasks), reference)
                 assert pick == unlabeled[np.argmax(reference)]
                 state.add(pick)
+
+
+def _unblocked_greedy_scores(state, unlabeled, use_input, tasks):
+    """Greedy scores over the whole labeled x candidates matrix at once: the gaps left to right,
+    then the input distance, then the min over labeled rows."""
+    candidates = state.pool.features[unlabeled]
+    scores = None
+    for t in tasks:
+        gaps = np.abs(predict(state.models[t], candidates)[None, :] - state.pool.labels[state.labeled, t][:, None])
+        scores = gaps if scores is None else scores * gaps
+    if use_input:
+        distances = state._labeled_distances()[:, unlabeled]
+        scores = distances if scores is None else distances * scores
+    return scores.min(axis=0)
+
+
+class TestGreedyBlocks:
+    """Blocks of labeled rows and the nearest-label vector keep every score's bits."""
+
+    # element budgets for n candidates: one labeled row per block (the first three),
+    # three rows with a shorter last block, and the default
+    BUDGETS = {"1": lambda n: 1, "n-1": lambda n: n - 1, "n": lambda n: n, "3n": lambda n: 3 * n,
+               "default": lambda n: strategies._GREEDY_BLOCK}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(("gsx", "gsy", "igs", "mt_gsy", "mt_igs")),
+        shape=st.tuples(st.integers(10, 40), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from(sorted(BUDGETS)),
+    )
+    def test_scores_equal_unblocked_reference(self, kind, shape, seed, budget):
+        n, d, p = shape
+        rng = np.random.default_rng(seed)
+        # feature and label magnitudes 1e-150..1e150: products overflow to inf and underflow to 0
+        x_exp, y_exp = rng.choice([-150.0, -75.0, 0.0, 75.0, 150.0], size=2)
+        pool = make_pool(rng.standard_normal((n, d)) * 10.0**x_exp, rng.standard_normal((n, p)) * 10.0**y_exp)
+        spec = StrategySpec(kind, focus_task=0 if kind in SINGLE_TASK_KINDS else None)
+        criterion = kind in ("gsx", "igs", "mt_igs"), {"gsx": (), "gsy": (0,), "igs": (0,)}.get(kind, range(p))
+        # a penalty on the scale of XᵀX keeps the ridge solve regular at every magnitude
+        solver = SolverConfig("ridge", lam=10.0 ** (2 * x_exp))
+        state = PoolState(pool, rng=seed)
+        state.add(select_next(state, spec))  # the centroid pick
+        while state.n_labeled < d + 6:
+            use_input, tasks = criterion if state.n_labeled >= state.k0 else (True, ())
+            if tasks:
+                state.fit_models(solver)
+            unlabeled = state.unlabeled_indices()
+            with mock.patch.object(strategies, "_GREEDY_BLOCK", self.BUDGETS[budget](unlabeled.size)):
+                scores = _greedy_scores(state, unlabeled, use_input, tasks)
+                pick = select_next(state, spec)
+            reference = _unblocked_greedy_scores(state, unlabeled, use_input, tasks)
+            assert np.array_equal(scores, reference, equal_nan=True)
+            assert pick == unlabeled[np.argmax(reference)]
+            state.add(pick)
+            assert np.array_equal(state._nearest_distances(), state._labeled_distances().min(axis=0))
+
+
+class TestCommitteeStack:
+    @pytest.mark.parametrize("kind", ["qbc", "emcm"])
+    @pytest.mark.parametrize(
+        "solver",
+        [SolverConfig("ols"), RIDGE, SolverConfig("ridge", lam=10.0, lambda_over_k="labeled"),
+         SolverConfig("lasso", lam=1e-3), SolverConfig("elastic_net", lam=0.01, lam2=0.1)],
+    )
+    def test_scores_equal_one_fit_and_predict_per_member(self, kind, solver):
+        spec = StrategySpec(kind, focus_task=0, committee_size=5)
+        for seed in range(8):
+            state, _ = random_greedy_instance(seed, max_n=30, max_d=4)
+            state.fit_models(solver)
+            rng = copy.deepcopy(state.rng)
+            unlabeled = state.unlabeled_indices()
+            scores = _committee_scores(state, unlabeled, spec, 0)
+            X, y = state.pool.features[state.labeled], state.pool.labels[state.labeled, 0]
+            candidates = state.pool.features[unlabeled]
+            boot = []
+            while len(boot) < spec.committee_size:
+                idx = rng.integers(0, state.n_labeled, size=state.n_labeled)
+                if np.unique(idx).size >= 2:  # a resample needs 2 distinct rows
+                    boot.append(predict(fit(X[idx], y[idx], solver), candidates))
+            boot = np.array(boot)
+            if kind == "qbc":
+                reference = boot.var(axis=0)
+            else:
+                gap = np.abs(predict(state.models[0], candidates)[None, :] - boot).mean(axis=0)
+                reference = gap * np.linalg.norm(candidates, axis=1)
+            assert np.array_equal(scores, reference)
+            assert rng.bit_generator.state == state.rng.bit_generator.state
 
 
 class TestSelectNext:
