@@ -7,9 +7,9 @@ them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
 A run is queried, then scored: the query loop returns the final selection and
-every K's models, and `run_single` scores the finished run in one pass, test
-predictions in blocks of K's with one call per metric per block, each score
-bit for bit that K's alone. `_SCORE_BLOCK` bounds a block's predictions.
+a (K's, tasks) model stack, and `run_single` scores the finished run in one
+pass, one `predict` and one call per metric per block of K's, each score bit
+for bit that K's alone. `_SCORE_BLOCK` bounds a block's predictions.
 
 Runs execute one after another and derive their seeds as
 ``seed ^ run_index``.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
 from .metrics import group_fraction, label_std, pearson_cc, rmse
-from .regression import SolverConfig, coefficient_mae, fit, resolve_lambda, solver_to_string
+from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
 from .strategies import PoolState, StrategySpec, select_next, strategy_to_string
 
 __all__ = [
@@ -87,7 +87,7 @@ class MetricRecord:
 
     cc and label_std entries are NaN where undefined (constant predictions,
     fewer than 2 selected samples). `nonconverged` counts the task models
-    fitted at k that report converged=False.
+    fitted at k whose `nonconverged` flag is set.
     """
 
     k: int
@@ -109,28 +109,21 @@ class RunResult:
     bl2_cc: np.ndarray
 
 
-def _stacked(model_lists) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (b, tasks, d) and intercepts (b, tasks) of b lists of task models."""
-    return (np.array([[m.coefficients for m in models] for models in model_lists]),
-            np.array([[m.intercept for m in models] for models in model_lists]))
-
-
-def _block_scores(coefs: np.ndarray, intercepts: np.ndarray, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Test RMSE and CC (b, tasks) of b K's stacked models. Entry (i, p) is bit for bit the
-    score of `predict` on model (i, p): each prediction row is a (1, d) @ (d, n) product, and
-    the metrics reduce row by row."""
-    preds = (coefs[:, :, None, :] @ test.features.T)[:, :, 0, :] + intercepts[:, :, None]
+def _block_scores(models: LinearModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Test RMSE and CC (..., tasks) of a stack of task models. Each entry is bit for bit the
+    score of that model's row of `predict`, as the metrics reduce row by row."""
+    preds = predict(models, test.features)
     truth = np.broadcast_to(test.labels.T, preds.shape)
     return rmse(preds, truth), pearson_cc(preds, truth)
 
 
 def _queries(
     pool: Dataset, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seed: int
-) -> tuple[PoolState, list[list]]:
+) -> tuple[PoolState, LinearModel]:
     """The query loop: label one pool sample per step and refit every task from k0 on.
 
-    Returns the final state and the task models fitted at K = k0..k_max. A
-    budget-scaled lambda is resolved against k_max before the first fit, so
+    Returns the final state and the task models fitted at K = k0..k_max, one
+    stack. A budget-scaled lambda is resolved against k_max before the first fit, so
     state.solver holds the solver every fit of the run used.
     """
     state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -142,13 +135,15 @@ def _queries(
             f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
         )
     solver = resolve_lambda(solver, budget=k_max)
-    models = []
+    coefs = np.empty((k_max - state.k0 + 1, pool.n_tasks, pool.n_features))
+    intercepts, nonconverged = np.empty(coefs.shape[:2]), np.empty(coefs.shape[:2], dtype=bool)
     while state.n_labeled < k_max:
         state.add(select_next(state, strategy))
         if state.n_labeled >= state.k0:
             state.fit_models(solver)
-            models.append(state.models)
-    return state, models
+            fitted, i = state.models, state.n_labeled - state.k0
+            coefs[i], intercepts[i], nonconverged[i] = fitted.coefficients, fitted.intercept, fitted.nonconverged
+    return state, LinearModel(coefs, intercepts, nonconverged=nonconverged)
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
@@ -168,21 +163,21 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
         raise ValueError("group_value set but the pool has no group column")
     state, models = _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, cfg.seed if seed is None else seed)
 
-    ref_coefs, ref_intercepts = _stacked([fit(pool.features, pool.labels, state.solver)])
-    bl2_rmse, bl2_cc = (scores[0] for scores in _block_scores(ref_coefs, ref_intercepts, test))
+    reference = fit(pool.features, pool.labels, state.solver)
+    bl2_rmse, bl2_cc = _block_scores(reference, test)
 
-    coefs, intercepts = _stacked(models)
+    coefs = models.coefficients
     block = max(1, _SCORE_BLOCK // (pool.n_tasks * test.n_samples))
-    blocks = [_block_scores(coefs[i:i + block], intercepts[i:i + block], test) for i in range(0, len(coefs), block)]
+    blocks = [_block_scores(models[i:i + block], test) for i in range(0, len(coefs), block)]
     rmse_k, cc_k = (np.concatenate(scores) for scores in zip(*blocks))
-    mae_k = coefficient_mae(coefs, np.broadcast_to(ref_coefs, coefs.shape))
+    mae_k = coefficient_mae(coefs, np.broadcast_to(reference.coefficients, coefs.shape))
 
     labels = pool.labels[state.labeled].T
     records = tuple(
         MetricRecord(
             k=k, rmse=rmse_k[i], cc=cc_k[i], coef_mae=mae_k[i], label_std=label_std(labels[:, :k]),
             group_fraction=None if cfg.group_value is None else group_fraction(pool, state.labeled[:k], cfg.group_value),
-            nonconverged=sum(not m.converged for m in models[i]),
+            nonconverged=int(models.nonconverged[i].sum()),
         )
         for i, k in enumerate(range(state.k0, state.n_labeled + 1))
     )

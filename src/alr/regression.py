@@ -1,4 +1,4 @@
-"""Linear models, one per target column: OLS, ridge, LASSO, and elastic net.
+"""Linear models, one per target column or member: OLS, ridge, LASSO, and elastic net.
 
 All solvers minimize a sum-of-squares objective plus an unscaled penalty:
 
@@ -17,11 +17,12 @@ the centred design is rank deficient. `tol` is the subgradient optimality
 guard: a fit is converged when the KKT residual is at most 10·tol.
 `max_iters` caps the path steps.
 
-:func:`fit` on (k, P) targets centres X and forms XcᵀXc once for all P columns, and
-solves each column alone, so each model is bit for bit the fit to that column.
-(B, k, d) features with (B, k) targets add a leading member axis: B designs,
-each centred and solved on its own in the same stacked calls, so each model is
-bit for bit the fit to that member's rows. A 2-D call is the one-member case.
+:func:`fit` returns one :class:`LinearModel` stack per call. On (k, P) targets it centres X and
+forms XcᵀXc once for all P columns, and solves each column alone, so row p is bit for bit
+the fit to column p. (B, k, d) features with (B, k) targets add a leading member axis: B
+designs, each centred and solved on its own in the same stacked calls, so row b is bit for
+bit the fit to member b's rows. A 2-D call is the one-member case. :func:`predict` is the
+one formula that evaluates a model or a stack.
 """
 
 from __future__ import annotations
@@ -93,23 +94,35 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Fitted coefficients and intercept for one task, and whether the fit converged."""
+    """Coefficients (..., d) and intercepts (...) of one fitted model or a stack of them, and
+    the `nonconverged` mask (...) of the problems whose fit failed its KKT check."""
 
     coefficients: np.ndarray
-    intercept: float
-    converged: bool = field(default=True, kw_only=True)
+    intercept: np.ndarray
+    nonconverged: np.ndarray = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
-        coef = np.array(self.coefficients, dtype=float).ravel()
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "intercept", float(self.intercept))
-        if not np.isfinite(coef).all() or not np.isfinite(self.intercept):
+        coef, intercept = np.array(self.coefficients, dtype=float), np.array(self.intercept, dtype=float)
+        if coef.ndim < 1 or intercept.shape != coef.shape[:-1]:
+            raise ValueError(f"intercept of shape {intercept.shape} does not match coefficients of shape {coef.shape}")
+        if not (np.isfinite(coef).all() and np.isfinite(intercept).all()):
             raise ValueError("model parameters must be finite")
+        mask = np.full(intercept.shape, self.nonconverged, dtype=bool)
+        for name, value in (("coefficients", coef), ("intercept", intercept), ("nonconverged", mask)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __getitem__(self, index) -> LinearModel:
+        """The models at `index` along the leading axes."""
+        return LinearModel(self.coefficients[index], self.intercept[index], nonconverged=self.nonconverged[index])
+
+    @property
+    def converged(self) -> bool:
+        return not self.nonconverged.any()
 
     @property
     def n_features(self) -> int:
-        return self.coefficients.size
+        return self.coefficients.shape[-1]
 
 
 def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
@@ -125,32 +138,34 @@ def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
     return replace(cfg, lam=cfg.lam / budget, lambda_over_k="none")
 
 
-def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]:
-    """Fit one linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
+def fit(features, targets, cfg: SolverConfig) -> LinearModel:
+    """Fit a linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
 
     (B, k, d) features with (B, k) targets are B separate problems on a leading
-    member axis (a committee's bootstrap resamples, say): the result is a list of
-    B models, each bit for bit the fit to its member's rows alone.
+    member axis (a committee's bootstrap resamples, say). The model's
+    coefficients are (d,), (P, d) or (B, d) and its intercepts (), (P,) or (B,),
+    each row bit for bit the fit to its column or member alone.
 
     The penalty applied is cfg.lam, or cfg.lam / k on k rows when
     cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
     penalty never touches it. OLS on a rank-deficient design falls back to
-    the minimum-norm solution. A LASSO or elastic-net fit whose KKT residual
-    exceeds 10·cd_tolerance (its path cut at cd_max_iters steps, say) has
-    converged=False and emits a warning.
+    the minimum-norm solution. A LASSO or elastic-net problem whose KKT residual
+    exceeds 10·cd_tolerance (its path cut at cd_max_iters steps, say) is marked
+    in `nonconverged` and emits a warning.
     """
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if X.ndim == 3:
         if Y.ndim != 2 or len(Y) != len(X):
             raise ValueError(f"features of shape {X.shape} need targets of shape ({len(X)}, k), got {Y.shape}")
-        Yt = Y[:, None, :]
+        Yt, index = Y[:, None, :], (slice(None), 0)
     elif X.ndim != 2:
         raise ValueError(f"features must be 2-D, or 3-D with a leading member axis, got shape {X.shape}")
     elif Y.ndim not in (1, 2):
         raise ValueError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
     else:
         X, Yt = X[None], (Y[:, None] if Y.ndim == 1 else Y).T[None]
+        index = (0, 0) if Y.ndim == 1 else 0
     # X is (M, k, d) and Yt (M, P, k): M members of P tasks each, one problem per (member, task)
     n_members, k, d = X.shape
     if k < 1:
@@ -174,7 +189,7 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]
 
     l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
     l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
-    converged = [True] * (n_members * n_tasks)
+    nonconverged = np.zeros((n_members, n_tasks), dtype=bool)
     if l1 == 0.0 and l2 == 0.0:
         B = np.array([np.linalg.lstsq(xc, yc, rcond=None)[0] for xc, ycs in zip(Xc, Yc) for yc in ycs])
         B = B.reshape(n_members, n_tasks, d)
@@ -183,22 +198,24 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel | list[LinearModel]
         # one right-hand side per task: each rounds as Xc.T @ Yc[p] does, and a (d, P) one would not
         corr = (Yc[:, :, None, :] @ Xc[:, None]).reshape(n_members, n_tasks, d, 1)
         if l1 == 0.0:
-            B = np.linalg.solve((gram + l2 * np.eye(d))[:, None], corr)[..., 0]
+            try:
+                B = np.linalg.solve((gram + l2 * np.eye(d))[:, None], corr)[..., 0]
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{solver_to_string(cfg)} met a singular system at largest |feature| "
+                                 f"{np.abs(X).max():.3g}; rescale the features") from None
         else:
             B = np.empty((n_members, n_tasks, d))
-            for i, (m, p) in enumerate(np.ndindex(n_members, n_tasks)):
+            for m, p in np.ndindex(n_members, n_tasks):
                 c = corr[m, p, :, 0]
                 B[m, p] = _lasso_path(gram[m], c, l1, l2, cfg.cd_max_iters)
                 violation = _kkt_violation(gram[m], c, B[m, p], l1, l2)
-                converged[i] = violation <= 10.0 * cfg.cd_tolerance
-                if not converged[i]:
+                nonconverged[m, p] = not (violation <= 10.0 * cfg.cd_tolerance)
+                if nonconverged[m, p]:
                     warnings.warn(f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
                                   f"{cfg.cd_max_iters} steps", RuntimeWarning, stacklevel=2)
 
     intercepts = y_means - (B[:, :, None, :] @ x_mean[:, None, :, None])[..., 0, 0]
-    models = [LinearModel(coefficients=b, intercept=c, converged=ok)
-              for b, c, ok in zip(B.reshape(-1, d), intercepts.ravel(), converged)]
-    return models[0] if Y.ndim == 1 else models
+    return LinearModel(B[index], intercepts[index], nonconverged=nonconverged[index])
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray, l1: float, l2: float) -> float:
@@ -278,15 +295,14 @@ def _lasso_path(gram: np.ndarray, corr: np.ndarray, l1: float, l2: float, max_it
 
 
 def predict(model: LinearModel, features) -> np.ndarray:
-    """Row-wise model output: features @ coefficients + intercept."""
+    """Model output on (n, d) features: (n,) for one model, (..., n) for a stack, each row a
+    (1, d) @ (d, n) product, bit for bit `features @ coefficients[i] + intercept[i]`."""
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
     if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, got {X.shape[1]}"
-        )
-    return X @ model.coefficients + model.intercept
+        raise ValueError(f"model expects {model.n_features} features, got {X.shape[1]}")
+    return (model.coefficients[..., None, :] @ X.T)[..., 0, :] + model.intercept[..., None]
 
 
 def coefficient_mae(coefs, reference):

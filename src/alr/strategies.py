@@ -126,16 +126,17 @@ class PoolState:
     """The active-learning ledger for one experiment run.
 
     Tracks the ordered labeled index list, the unlabeled remainder, the
-    per-task models and the solver that fitted them, the labeled samples'
-    input distances and a seeded random stream (random/qbc/emcm). Confined to
-    a single run; advance it sequentially.
+    task models (one :class:`LinearModel` stack, row t for task t) and the
+    solver that fitted them, the labeled samples' input distances and a
+    seeded random stream (random/qbc/emcm). Confined to a single run; advance
+    it sequentially.
     """
 
     def __init__(self, pool: Dataset, rng=0, k0: int | None = None):
         self.pool = pool
         self.labeled: list[int] = []
         self._is_labeled = np.zeros(pool.n_samples, dtype=bool)
-        self.models: list[LinearModel] | None = None
+        self.models: LinearModel | None = None
         self.solver: SolverConfig | None = None
         self.rng = np.random.default_rng(rng)
         self.k0 = k0_default(pool.n_features) if k0 is None else int(k0)
@@ -177,16 +178,6 @@ class PoolState:
         self.solver = solver
         self._models_k = self.n_labeled
 
-    def set_models(self, models) -> None:
-        """Install externally fitted models (one per task) for the current labeled set."""
-        models = list(models)
-        if len(models) != self.pool.n_tasks:
-            raise ValueError(
-                f"need {self.pool.n_tasks} models, got {len(models)}"
-            )
-        self.models = models
-        self._models_k = self.n_labeled
-
     def _labeled_distances(self) -> np.ndarray:
         """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K.
 
@@ -211,7 +202,7 @@ class PoolState:
         self._labeled_distances()
         return self._nearest
 
-    def _require_models(self) -> list[LinearModel]:
+    def _require_models(self) -> LinearModel:
         if self.models is None:
             raise ValueError("no fitted models; call fit_models() first")
         if self._models_k != self.n_labeled:
@@ -232,16 +223,15 @@ def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tas
     """
     if not tasks:
         return state._nearest_distances()[unlabeled]
-    models = state._require_models()
-    preds = [predict(models[t], state.pool.features[unlabeled]) for t in tasks]
+    preds = predict(state._require_models(), state.pool.features[unlabeled])
     labels = state.pool.labels[state.labeled]
     ledger = state._labeled_distances() if use_input else None
     best = np.full(unlabeled.size, np.inf)
     step = max(1, _GREEDY_BLOCK // unlabeled.size)
     for i in range(0, state.n_labeled, step):
         scores = None
-        for t, pred in zip(tasks, preds):
-            gaps = np.subtract(pred, labels[i:i + step, t, None])
+        for t in tasks:
+            gaps = np.subtract(preds[t], labels[i:i + step, t, None])
             np.abs(gaps, out=gaps)
             scores = gaps if scores is None else np.multiply(scores, gaps, out=scores)
         if use_input:
@@ -263,21 +253,15 @@ def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpe
 
     Committee members are bootstrap refits under the run's solver, `state.solver`.
     """
-    main = state._require_models()[task]
-    if state.solver is None:  # models installed by set_models() alone
-        raise ValueError(f"{spec.kind} refits its committee with the run's solver; call fit_models() first")
+    models = state._require_models()
     X = state.pool.features[state.labeled]
     y = state.pool.labels[state.labeled, task]
     candidates = state.pool.features[unlabeled]
     idx = np.array([_bootstrap_indices(state.rng, state.n_labeled) for _ in range(spec.committee_size)])
-    members = fit(X[idx], y[idx], state.solver)
-    coefs = np.array([m.coefficients for m in members])
-    intercepts = np.array([m.intercept for m in members])
-    # one matrix-vector product per member, as predict() makes
-    boot = (candidates @ coefs[:, :, None])[..., 0] + intercepts[:, None]
+    boot = predict(fit(X[idx], y[idx], state.solver), candidates)
     if spec.kind == "qbc":
         return boot.var(axis=0)
-    mean_gap = np.abs(predict(main, candidates)[None, :] - boot).mean(axis=0)
+    mean_gap = np.abs(predict(models[task], candidates)[None, :] - boot).mean(axis=0)
     return mean_gap * np.linalg.norm(candidates, axis=1)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from alr.dataset import Dataset
-from alr.regression import SolverConfig, fit
+from alr.regression import LinearModel, SolverConfig, fit
 from alr.strategies import PoolState
 
 
@@ -43,11 +43,19 @@ def random_greedy_instance(seed, max_n=20, max_d=3, max_p=3):
     return state, rng
 
 
+def set_models(state, coefficients, intercepts=0.0):
+    """Install hand-made task models (row t of `coefficients` for task t) as if fitted on the
+    current labeled set."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    state.models = LinearModel(coefficients, np.broadcast_to(intercepts, coefficients.shape[:-1]))
+    state._models_k = state.n_labeled
+
+
 def oracle_models(state):
     """Model parameters as plain Python lists for the brute-force reference."""
     return [
-        ([float(c) for c in m.coefficients], float(m.intercept))
-        for m in state.models
+        ([float(c) for c in coefs], float(intercept))
+        for coefs, intercept in zip(state.models.coefficients, state.models.intercept)
     ]
 
 

@@ -264,7 +264,7 @@ def _one_column_fit(X, y, cfg):
 
 
 class TestMultiTarget:
-    """(k, P) targets give P models, each bit for bit the fit to its column alone."""
+    """(k, P) targets give a (P, d) model, each row bit for bit the fit to its column alone."""
 
     SOLVERS = (
         SolverConfig("ols"),
@@ -295,13 +295,13 @@ class TestMultiTarget:
             warnings.simplefilter("always")
             models = fit(X, Y, cfg)
             singles = [fit(X, Y[:, j], cfg) for j in range(p)]
-        assert isinstance(models, list) and len(models) == p
+        assert models.coefficients.shape == (p, d)
         # one warning per non-converged column, from the batched and the single fits alike
         assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
-        assert len(caught) == 2 * sum(not m.converged for m in models)
-        for j, (model, single) in enumerate(zip(models, singles)):
+        assert len(caught) == 2 * models.nonconverged.sum()
+        for j, single in enumerate(singles):
             beta, intercept, converged = _one_column_fit(X, Y[:, j], cfg)
-            for m in (model, single):
+            for m in (models[j], single):
                 assert np.array_equal(m.coefficients, beta)
                 assert m.intercept == intercept
                 assert m.converged == converged
@@ -316,7 +316,8 @@ class TestMultiTarget:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             models = fit(X, Y, SolverConfig("lasso", lam=1e-6, cd_max_iters=1))
-        assert [m.converged for m in models] == [False, True, False]
+        assert models.nonconverged.tolist() == [True, False, True]
+        assert models.converged is False and models[1].converged is True
         assert len(caught) == 2 and all(w.category is RuntimeWarning for w in caught)
 
     def test_bad_target_shapes_rejected(self):
@@ -330,7 +331,8 @@ class TestMultiTarget:
 
 
 class TestMemberAxis:
-    """(B, k, d) features with (B, k) targets give B models, each bit for bit the 2-D fit to its member."""
+    """(B, k, d) features with (B, k) targets give a (B, d) model, each row bit for bit the 2-D fit to its
+    member."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
@@ -353,13 +355,13 @@ class TestMemberAxis:
             warnings.simplefilter("always")
             members = fit(X[idx], y[idx], cfg)
             singles = [fit(X[rows], y[rows], cfg) for rows in idx]
-        assert isinstance(members, list) and len(members) == b
+        assert members.coefficients.shape == (b, d)
         # one warning per non-converged member, from the batched and the single fits alike
         assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
-        assert len(caught) == 2 * sum(not m.converged for m in members)
-        for rows, member, single in zip(idx, members, singles):
+        assert len(caught) == 2 * members.nonconverged.sum()
+        for i, (rows, single) in enumerate(zip(idx, singles)):
             beta, intercept, converged = _one_column_fit(X[rows], y[rows], cfg)
-            for m in (member, single):
+            for m in (members[i], single):
                 assert np.array_equal(m.coefficients, beta)
                 assert m.intercept == intercept
                 assert m.converged == converged
@@ -375,12 +377,86 @@ class TestMemberAxis:
             fit(np.ones((1, 3, 4, 2)), np.ones((1, 3, 4)), SolverConfig("ols"))
 
 
+class TestModelShapes:
+    """One model for every call shape: (d,) and () for 1-D targets, (P, d) and (P,) for (k, P)
+    targets, (B, d) and (B,) for (B, k, d) features; `converged` is a bool over the whole stack."""
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        call=st.sampled_from(("targets", "columns", "members")),
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 6), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        cfg=st.sampled_from(TestMultiTarget.SOLVERS),
+    )
+    def test_shapes_and_converged(self, call, shape, seed, cfg):
+        k, d, m = shape
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((k, d)), rng.standard_normal((k, m))
+        if call == "targets":
+            lead, args, problems = (), (X, Y[:, 0]), [(X, Y[:, 0])]
+        elif call == "columns":
+            lead, args, problems = (m,), (X, Y), [(X, Y[:, j]) for j in range(m)]
+        else:
+            idx = rng.integers(0, k, size=(m, k))
+            lead, args, problems = (m,), (X[idx], Y[idx, 0]), [(X[rows], Y[rows, 0]) for rows in idx]
+        model = fit(*args, cfg)
+        assert model.coefficients.shape == (*lead, d)
+        assert model.intercept.shape == model.nonconverged.shape == lead
+        assert model.n_features == d
+        assert type(model.converged) is bool
+        assert model.converged is all(fit(*problem, cfg).converged for problem in problems)
+
+    def test_one_failed_problem_clears_converged(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((30, 4))
+        y = X @ np.array([1.0, -2.0, 3.0, -1.0])
+        # the constant column starts and ends its path at beta = 0, so only the first fails
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            model = fit(X, np.column_stack([y, np.full(30, 2.0)]), SolverConfig("lasso", lam=1e-6, cd_max_iters=1))
+        assert model.nonconverged.tolist() == [True, False]
+        assert model.converged is False
+
+    def test_rejects_intercept_of_another_shape(self):
+        for coefs, intercept in (([1.0, 2.0], [0.0]), ([[1.0], [2.0]], 0.0), ([[1.0], [2.0]], [0.0, 1.0, 2.0]),
+                                 (1.0, 0.0)):
+            with pytest.raises(ValueError, match="does not match"):
+                LinearModel(coefs, intercept)
+
+    def test_arrays_are_read_only_copies(self):
+        coefs, intercepts = np.ones((2, 3)), np.zeros(2)
+        model = LinearModel(coefs, intercepts, nonconverged=[False, True])
+        coefs[0, 0] = 5.0
+        assert model.coefficients[0, 0] == 1.0
+        for value in (model.coefficients, model.intercept, model.nonconverged):
+            with pytest.raises(ValueError):
+                value[0] = 0
+
+
 class TestPredict:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        lead=st.sampled_from(((), (1,), (3,), (5,))),
+        shape=st.tuples(st.integers(1, 400), st.integers(1, 50)),
+        seed=st.integers(0, 2**32 - 1),
+        exps=st.tuples(*[st.sampled_from((-150.0, -75.0, -5.0, 0.0, 4.0, 75.0, 150.0))] * 2),
+    )
+    def test_each_row_equals_its_own_product(self, lead, shape, seed, exps):
+        n, d = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0 ** exps[0]
+        coefs, intercepts = rng.standard_normal((*lead, d)) * 10.0 ** exps[1], rng.standard_normal(lead)
+        out = predict(LinearModel(coefs, intercepts), X)
+        assert out.shape == (*lead, n)
+        for i in np.ndindex(lead):
+            assert np.array_equal(out[i], X @ coefs[i] + intercepts[i])
+
+
     def test_converged_is_keyword_only(self):
-        # a third positional argument (the solver a model once carried) must not bind to converged
+        # a third positional argument (the solver a model once carried) must not bind to nonconverged
         with pytest.raises(TypeError):
             LinearModel([1.0], 0.0, SolverConfig("ols"))
-        assert not LinearModel([1.0], 0.0, converged=False).converged
+        assert not LinearModel([1.0], 0.0, nonconverged=True).converged
 
     def test_constant_model(self):
         model = LinearModel([0.0, 0.0], 3.5)
@@ -430,6 +506,14 @@ class TestValidation:
             fit([[np.nan]], [1.0], SolverConfig("ols"))
         with pytest.raises(ValueError):
             fit([[1.0]], [np.inf], SolverConfig("ols"))
+
+    def test_singular_ridge_names_the_solver(self):
+        # k = d rows near 1e150: the centred Gram matrix has rank d - 1, and lambda = 1 rounds away
+        X = np.array([[-1.04, 2.47], [-1.21, -1.73]]) * 1e150
+        with pytest.raises(ValueError) as info:
+            fit(X, [0.0, 1.0], SolverConfig("ridge", lam=1.0))
+        assert type(info.value) is ValueError
+        assert "ridge:lambda=1 " in str(info.value) and "rescale" in str(info.value)
 
     def test_single_row_fits_intercept_only(self):
         model = fit([[2.0, 3.0]], [7.0], SolverConfig("ridge", lam=1.0))

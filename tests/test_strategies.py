@@ -10,11 +10,11 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import bruteforce
-from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance
+from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance, set_models
 
 from alr import strategies
 from alr.harness import selection_sequence
-from alr.regression import LinearModel, SolverConfig, fit, predict
+from alr.regression import SolverConfig, fit
 from alr.strategies import (
     SINGLE_TASK_KINDS,
     STRATEGY_KINDS,
@@ -29,10 +29,6 @@ from alr.strategies import (
 )
 
 RIDGE = SolverConfig("ridge", lam=1.0)
-
-
-def model(coefs, intercept=0.0):
-    return LinearModel(coefs, intercept)
 
 
 class TestK0Default:
@@ -85,7 +81,7 @@ class TestGsy:
             [[0.0], [1.0], [0.0], [0.0], [0.0]],
             labeled=[0, 1],
         )
-        state.set_models([model([1.0])])
+        set_models(state, [[1.0]])
         return state
 
     def test_hand_min_distance_table(self):
@@ -98,7 +94,7 @@ class TestGsy:
             [[0.0], [1.0], [0.0], [0.0]],
             labeled=[0, 1],
         )
-        state.set_models([model([1.0])])
+        set_models(state, [[1.0]])
         # prediction 1.0 duplicates a labeled output, so 5.0 must win
         assert select_next(state, StrategySpec("gsy", focus_task=0)) == 3
 
@@ -139,7 +135,7 @@ class TestMtGsy:
             labeled=[0],
             k0=1,
         )
-        state.set_models([model([1.0, 0.0]), model([0.0, 1.0])])
+        set_models(state, [[1.0, 0.0], [0.0, 1.0]])
         assert select_next(state, StrategySpec("mt_gsy")) == 3
 
     def test_task_rescaling_preserves_argmax(self):
@@ -161,7 +157,7 @@ class TestMtGsy:
             [[1.0, 10.0], [10.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
             labeled=[0, 1],
         )
-        state.set_models([model([1.0]), model([6.5], intercept=-11.0)])
+        set_models(state, [[1.0], [6.5]], [0.0, -11.0])
         per_m_products = {
             2: min(abs(2 - 1) * abs(2 - 10), abs(2 - 10) * abs(2 - 1)),
             3: min(abs(3 - 1) * abs(8.5 - 10), abs(3 - 10) * abs(8.5 - 1)),
@@ -180,10 +176,10 @@ def _scale_task(state, task, c):
     labels = state.pool.labels.copy()
     labels[:, task] *= c
     clone = make_state(state.pool.features, labels, labeled=list(state.labeled), k0=state.k0)
-    models = list(state.models)
-    scaled = models[task]
-    models[task] = LinearModel(scaled.coefficients * c, scaled.intercept * c)
-    clone.set_models(models)
+    coefs, intercepts = state.models.coefficients.copy(), state.models.intercept.copy()
+    coefs[task] *= c
+    intercepts[task] *= c
+    set_models(clone, coefs, intercepts)
     return clone
 
 
@@ -191,12 +187,12 @@ class TestIgs:
     def test_hand_computation(self):
         # scores: 1*1=1 for x=1, 0.5*3=1.5 for x=0.5
         state = make_state([[0.0], [1.0], [0.5]], [[0.0], [0.0], [0.0]], labeled=[0])
-        state.set_models([model([-4.0], intercept=5.0)])
+        set_models(state, [[-4.0]], [5.0])
         assert select_next(state, StrategySpec("igs", focus_task=0)) == 2
 
     def test_duplicate_input_scores_zero(self):
         state = make_state([[1.0], [1.0], [3.0]], [[0.5], [0.0], [0.0]], labeled=[0])
-        state.set_models([model([1.0])])
+        set_models(state, [[1.0]])
         assert select_next(state, StrategySpec("igs", focus_task=0)) == 2
 
     def test_constant_output_factor_matches_input_greedy(self):
@@ -204,7 +200,7 @@ class TestIgs:
         state = make_state(
             [[0.0], [2.0], [7.0], [3.0]], [[1.0]] * 4, labeled=[0]
         )
-        state.set_models([model([0.0], intercept=4.0)])
+        set_models(state, [[0.0]], [4.0])
         igs_pick = select_next(state, StrategySpec("igs", focus_task=0))
         assert igs_pick == select_next(state, StrategySpec("gsx"))
 
@@ -216,7 +212,7 @@ class TestIgs:
             [[0.0], [10.0], [0.0], [0.0]],
             labeled=[0, 1],
         )
-        state.set_models([model([0.3], intercept=8.7)])
+        set_models(state, [[0.3]], [8.7])
         min_of_products = {
             2: min(1 * abs(9 - 0), 9 * abs(9 - 10)),
             3: min(2 * abs(9.3 - 0), 8 * abs(9.3 - 10)),
@@ -245,7 +241,7 @@ class TestMtIgs:
             [[0.0, 0.0]] * 3,
             labeled=[0],
         )
-        state.set_models([model([-2.0], intercept=3.0), model([-1.0], intercept=2.0)])
+        set_models(state, [[-2.0], [-1.0]], [3.0, 2.0])
         assert select_next(state, StrategySpec("mt_igs")) == 2
 
     def test_task_rescaling_preserves_argmax(self):
@@ -265,9 +261,7 @@ class TestMtIgs:
             [[1.0, 10.0], [10.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
             labeled=[0, 1],
         )
-        state.set_models(
-            [model([-0.5, 0.0], intercept=2.5), model([-3.25, 0.0], intercept=5.25)]
-        )
+        set_models(state, [[-0.5, 0.0], [-3.25, 0.0]], [2.5, 5.25])
         dist = math.sqrt(2.0)
         min_of_products = {
             2: dist * min(abs(2 - 1) * abs(2 - 10), abs(2 - 10) * abs(2 - 1)),
@@ -335,13 +329,6 @@ class TestQbc:
         clone.rng = fresh.rng  # unconsumed stream at the same seed
         clone.fit_models(SolverConfig("ridge", lam=1.0))
         assert select_next(clone, StrategySpec("qbc", focus_task=0)) == baseline
-
-    @pytest.mark.parametrize("kind", ["qbc", "emcm"])
-    def test_committee_needs_fit_models(self, kind):
-        state = make_state([[0.0], [1.0], [2.0], [3.0]], [[0.0], [1.0], [2.0], [3.0]], labeled=[0, 1])
-        state.set_models([model([1.0])])
-        with pytest.raises(ValueError, match="call fit_models"):
-            select_next(state, StrategySpec(kind, focus_task=0))
 
     @pytest.mark.parametrize("kind", ["qbc", "emcm"])
     def test_one_label_draws_at_random(self, kind):
@@ -421,10 +408,11 @@ class TestPermutationEquivariance:
 
 def _cdist_greedy_scores(state, unlabeled, use_input, tasks):
     """Greedy scores from scipy's cdist, candidates x labeled, in the kernel's multiplication order."""
-    candidates = state.pool.features[unlabeled]
+    candidates, models = state.pool.features[unlabeled], state.models
     scores = None
     for t in tasks:
-        gaps = np.abs(predict(state.models[t], candidates)[:, None] - state.pool.labels[state.labeled, t][None, :])
+        pred = candidates @ models.coefficients[t] + models.intercept[t]
+        gaps = np.abs(pred[:, None] - state.pool.labels[state.labeled, t][None, :])
         scores = gaps if scores is None else scores * gaps
     if use_input:
         distances = cdist(candidates, state.pool.features[state.labeled])
@@ -462,10 +450,11 @@ class TestDistanceLedger:
 def _unblocked_greedy_scores(state, unlabeled, use_input, tasks):
     """Greedy scores over the whole labeled x candidates matrix at once: the gaps left to right,
     then the input distance, then the min over labeled rows."""
-    candidates = state.pool.features[unlabeled]
+    candidates, models = state.pool.features[unlabeled], state.models
     scores = None
     for t in tasks:
-        gaps = np.abs(predict(state.models[t], candidates)[None, :] - state.pool.labels[state.labeled, t][:, None])
+        pred = candidates @ models.coefficients[t] + models.intercept[t]
+        gaps = np.abs(pred[None, :] - state.pool.labels[state.labeled, t][:, None])
         scores = gaps if scores is None else scores * gaps
     if use_input:
         distances = state._labeled_distances()[:, unlabeled]
@@ -537,12 +526,14 @@ class TestCommitteeStack:
             while len(boot) < spec.committee_size:
                 idx = rng.integers(0, state.n_labeled, size=state.n_labeled)
                 if np.unique(idx).size >= 2:  # a resample needs 2 distinct rows
-                    boot.append(predict(fit(X[idx], y[idx], solver), candidates))
+                    member = fit(X[idx], y[idx], solver)
+                    boot.append(candidates @ member.coefficients + member.intercept)
             boot = np.array(boot)
             if kind == "qbc":
                 reference = boot.var(axis=0)
             else:
-                gap = np.abs(predict(state.models[0], candidates)[None, :] - boot).mean(axis=0)
+                main = candidates @ state.models.coefficients[0] + state.models.intercept[0]
+                gap = np.abs(main[None, :] - boot).mean(axis=0)
                 reference = gap * np.linalg.norm(candidates, axis=1)
             assert np.array_equal(scores, reference)
             assert rng.bit_generator.state == state.rng.bit_generator.state
