@@ -32,7 +32,7 @@ from .harness import (
     write_curves_csv,
     write_curves_json,
 )
-from .metrics import group_fraction, label_std, pearson_cc, rmse
+from .metrics import label_std, pearson_cc, rmse
 from .regression import (
     LinearModel,
     SolverConfig,

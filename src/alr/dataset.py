@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +45,8 @@ class Dataset:
     Attributes:
         features: N x d feature matrix (unitless after normalization).
         labels: N x P label matrix, one column per task.
-        feature_names: d column identifiers.
-        task_names: P task identifiers.
+        feature_names: d distinct column identifiers.
+        task_names: P distinct task identifiers.
         group: optional per-sample categorical tag (length N).
     """
 
@@ -78,14 +79,12 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if not np.isfinite(labels).all():
             raise ValueError("labels contain non-finite values")
-        if len(self.feature_names) != d:
-            raise ValueError(
-                f"{len(self.feature_names)} feature names for {d} feature columns"
-            )
-        if len(self.task_names) != labels.shape[1]:
-            raise ValueError(
-                f"{len(self.task_names)} task names for {labels.shape[1]} task columns"
-            )
+        for kind, names, columns in (("feature", self.feature_names, d), ("task", self.task_names, labels.shape[1])):
+            if len(names) != columns:
+                raise ValueError(f"{len(names)} {kind} names for {columns} {kind} columns")
+            duplicates = [name for name, count in Counter(names).items() if count > 1]
+            if duplicates:
+                raise ValueError(f"duplicate {kind} name(s): {', '.join(map(repr, duplicates))}")
         if self.group is not None and len(self.group) != n:
             raise ValueError(f"group has {len(self.group)} entries for {n} samples")
 

@@ -8,8 +8,11 @@ them on the test set. Per-run results are aggregated into a
 
 A run is queried, then scored: the query loop returns the final selection and
 a (K's, tasks) model stack, and `run_single` scores the finished run in one
-pass, one `predict` and one call per metric per block of K's, each score bit
-for bit that K's alone. `_SCORE_BLOCK` bounds a block's predictions.
+pass, one `predict` and one call per metric per block of K's (`label_std` on
+the selected labels padded with NaN past each K), each score bit for bit that
+K's alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels.
+`run_experiment` stacks each metric over runs and aggregates it in one
+`_aggregate` call, each cell bit for bit the reduction of its runs alone.
 
 Runs execute one after another and derive their seeds as
 ``seed ^ run_index``.
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
-from .metrics import group_fraction, label_std, pearson_cc, rmse
+from .metrics import _defined_stats, label_std, pearson_cc, rmse
 from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
 from .strategies import PoolState, StrategySpec, select_next, strategy_to_string
 
@@ -53,7 +56,7 @@ CURVE_CSV_HEADER = ("strategy", "solver", "task", "K", "metric", "mean", "std", 
 
 _METRIC_ORDER = ("rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc", "group_fraction")
 
-# test predictions (K's x tasks x test rows) scored in one pass: about 0.5 MB per block array
+# a block of K's scored in one pass: about 0.5 MB per prediction or padded-label array
 _SCORE_BLOCK = 1 << 16
 
 
@@ -86,8 +89,9 @@ class MetricRecord:
     """A run's scores at labeled count k, each metric a (tasks,) array as computed.
 
     cc and label_std entries are NaN where undefined (constant predictions,
-    fewer than 2 selected samples). `nonconverged` counts the task models
-    fitted at k whose `nonconverged` flag is set.
+    fewer than 2 selected samples). `group_fraction` is the group's share of
+    the first k selected samples, or None. `nonconverged` counts the task
+    models fitted at k whose `nonconverged` flag is set.
     """
 
     k: int
@@ -167,20 +171,21 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     bl2_rmse, bl2_cc = _block_scores(reference, test)
 
     coefs = models.coefficients
-    block = max(1, _SCORE_BLOCK // (pool.n_tasks * test.n_samples))
-    blocks = [_block_scores(models[i:i + block], test) for i in range(0, len(coefs), block)]
-    rmse_k, cc_k = (np.concatenate(scores) for scores in zip(*blocks))
     mae_k = coefficient_mae(coefs, np.broadcast_to(reference.coefficients, coefs.shape))
-
+    ks = np.arange(state.k0, state.n_labeled + 1)
     labels = pool.labels[state.labeled].T
-    records = tuple(
-        MetricRecord(
-            k=k, rmse=rmse_k[i], cc=cc_k[i], coef_mae=mae_k[i], label_std=label_std(labels[:, :k]),
-            group_fraction=None if cfg.group_value is None else group_fraction(pool, state.labeled[:k], cfg.group_value),
-            nonconverged=int(models.nonconverged[i].sum()),
-        )
-        for i, k in enumerate(range(state.k0, state.n_labeled + 1))
-    )
+    block = max(1, _SCORE_BLOCK // (pool.n_tasks * max(test.n_samples, state.n_labeled)))
+    blocks = [
+        (*_block_scores(models[i:i + block], test),
+         label_std(np.where(np.arange(state.n_labeled) < ks[i:i + block, None, None], labels, np.nan)))
+        for i in range(0, len(ks), block)
+    ]
+    rmse_k, cc_k, std_k = (np.concatenate(scores) for scores in zip(*blocks))
+    shares = [None] * len(ks)
+    if cfg.group_value is not None:  # matches among the first k selected, over k
+        shares = (np.cumsum([pool.group[i] == cfg.group_value for i in state.labeled])[ks - 1] / ks).tolist()
+    nonconverged = models.nonconverged.sum(axis=-1).tolist()
+    records = tuple(map(MetricRecord, ks.tolist(), rmse_k, cc_k, mae_k, std_k, shares, nonconverged))
     return RunResult(records=records, selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
 
 
@@ -232,13 +237,15 @@ class LearningCurve:
         return self.cell(metric, task, k).mean
 
 
-def _aggregate(values: list[float]) -> CurveCell:
-    arr = np.asarray(values, dtype=float)
-    good = arr[~np.isnan(arr)]
-    if good.size == 0:
-        return CurveCell(mean=math.nan, std=math.nan, n_runs=0)
-    std = float(np.std(good, ddof=1)) if good.size > 1 else 0.0
-    return CurveCell(mean=float(good.mean()), std=std, n_runs=int(good.size))
+def _aggregate(values: np.ndarray) -> list[CurveCell]:
+    """One cell per row of `values`, in row order, over the runs on its last axis.
+
+    A cell counts the runs where the metric is defined and holds their mean and sample std;
+    the std is 0.0 for a single such run, and both are NaN for none.
+    """
+    n, mean, std = _defined_stats(values)
+    std[n == 1] = 0.0
+    return [CurveCell(*cell) for cell in zip(mean.ravel().tolist(), std.ravel().tolist(), n.ravel().tolist())]
 
 
 def _run_splits(data: Dataset, cfg: ExperimentConfig) -> Iterator[tuple[Dataset, Dataset, int]]:
@@ -269,19 +276,21 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
 
     ks = tuple(rec.k for rec in results[0].records)  # every run splits the same data alike
 
+    def over_runs(name: str) -> np.ndarray:
+        """A record field of every run, runs last: (K's, tasks, runs), or (K's, runs) for a scalar."""
+        return np.stack([[getattr(rec, name) for rec in r.records] for r in results], axis=-1)
+
     task_names = data.task_names
     cells: dict = {}
     for metric in ("bl2_rmse", "bl2_cc"):  # per run, so one cell serves every K
-        for p, task in enumerate(task_names):
-            cell = _aggregate([getattr(r, metric)[p] for r in results])
+        for task, cell in zip(task_names, _aggregate(np.stack([getattr(r, metric) for r in results], axis=-1))):
             cells.update(((metric, task, k), cell) for k in ks)
-    for ki, k in enumerate(ks):
-        records = [r.records[ki] for r in results]
-        for metric in ("rmse", "cc", "coef_mae", "label_std"):
-            for p, task in enumerate(task_names):
-                cells[(metric, task, k)] = _aggregate([getattr(rec, metric)[p] for rec in records])
-        if cfg.group_value is not None:
-            cells[("group_fraction", "all", k)] = _aggregate([rec.group_fraction for rec in records])
+    keys = [(k, task) for k in ks for task in task_names]
+    for metric in ("rmse", "cc", "coef_mae", "label_std"):
+        cells.update(((metric, task, k), cell) for (k, task), cell in zip(keys, _aggregate(over_runs(metric))))
+    if cfg.group_value is not None:
+        shares = _aggregate(over_runs("group_fraction"))
+        cells.update((("group_fraction", "all", k), cell) for k, cell in zip(ks, shares))
 
     strategy, solver = strategy_to_string(cfg.strategy), solver_to_string(cfg.solver)
     return LearningCurve(
@@ -291,7 +300,7 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
         ks=ks,
         cells=cells,
         n_runs=cfg.runs,
-        nonconverged={k: sum(r.records[ki].nonconverged for r in results) for ki, k in enumerate(ks)},
+        nonconverged=dict(zip(ks, over_runs("nonconverged").sum(axis=-1).tolist())),
         config={**dataclasses.asdict(cfg), "strategy": strategy, "solver": solver},
     )
 
@@ -427,21 +436,12 @@ def read_curves_csv(path) -> list[LearningCurve]:
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
             entry = grouped.setdefault((strategy, solver), {"cells": {}, "tasks": [], "ks": set()})
-            if task != "all" and task not in entry["tasks"]:
+            if metric != "group_fraction" and task not in entry["tasks"]:  # "all" is group_fraction's
                 entry["tasks"].append(task)
             entry["ks"].add(k)
             entry["cells"][(metric, task, k)] = cell
-    curves = []
-    for (strategy, solver), entry in grouped.items():
-        n_runs = max((c.n_runs for c in entry["cells"].values()), default=0)
-        curves.append(
-            LearningCurve(
-                strategy=strategy,
-                solver=solver,
-                task_names=tuple(entry["tasks"]),
-                ks=tuple(sorted(entry["ks"])),
-                cells=entry["cells"],
-                n_runs=n_runs,
-            )
-        )
-    return curves
+    return [
+        LearningCurve(strategy, solver, tuple(entry["tasks"]), tuple(sorted(entry["ks"])), entry["cells"],
+                      n_runs=max((c.n_runs for c in entry["cells"].values()), default=0))
+        for (strategy, solver), entry in grouped.items()
+    ]

@@ -6,20 +6,14 @@ scores every task at a K with one call each. Each gives NaN where undefined: CC 
 input, label_std of fewer than 2 samples. Each bounds its own range (RMSE is a square root,
 CC is clipped to [-1, 1]), so the records a run keeps are not checked again. The coefficient
 MAE against the full-pool model is `regression.coefficient_mae`, which reduces the same way.
+`_defined_stats`, the one NaN-dropping reduction, gives `label_std` and the curve cells.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset
-
-__all__ = [
-    "rmse",
-    "pearson_cc",
-    "label_std",
-    "group_fraction",
-]
+__all__ = ["rmse", "pearson_cc", "label_std"]
 
 
 def _rows(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -56,20 +50,24 @@ def pearson_cc(pred, truth):
     return np.clip(cc, -1.0, 1.0)
 
 
+def _defined_stats(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, mean and sample std (ddof=1) of the non-NaN entries along the last axis, each
+    row's bit for bit `np.mean` and `np.std` of its defined values: a stable sort moves them to
+    the front in order and both sums run over that prefix. The mean is NaN with no defined value
+    and the std with fewer than 2, without a warning."""
+    x = np.asarray(values, dtype=float)
+    missing = np.isnan(x)
+    x = np.take_along_axis(x, np.argsort(missing, axis=-1, kind="stable"), axis=-1)
+    n = x.shape[-1] - np.count_nonzero(missing, axis=-1)
+    prefix = np.arange(x.shape[-1]) < n[..., None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.add.reduce(x, axis=-1, keepdims=True, where=prefix) / n[..., None]
+        dev = x - mean
+        std = np.sqrt(np.add.reduce(dev * dev, axis=-1, where=prefix) / np.maximum(n - 1, 0))
+    return n, mean[..., 0], std
+
+
 def label_std(labels):
-    """Sample standard deviation (ddof=1) of labels along the last axis; NaN for fewer than 2."""
-    x = np.ascontiguousarray(labels, dtype=float)
-    if x.shape[-1] < 2:
-        return np.full(x.shape[:-1], np.nan)[()]
-    return np.std(x, axis=-1, ddof=1)
-
-
-def group_fraction(pool: Dataset, labeled, group_value: str) -> float:
-    """Fraction of selected samples whose group tag equals `group_value`."""
-    if pool.group is None:
-        raise ValueError("dataset has no group column")
-    idx = list(labeled)
-    if not idx:
-        raise ValueError("no selected samples")
-    hits = sum(1 for i in idx if pool.group[i] == group_value)
-    return hits / len(idx)
+    """Sample standard deviation (ddof=1) of labels along the last axis; NaN entries count as
+    missing, and a row with fewer than 2 labels gives NaN."""
+    return _defined_stats(labels)[2][()]

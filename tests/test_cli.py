@@ -200,6 +200,22 @@ class TestRunErrors:
         assert captured.out == ""
         assert data.read_bytes() == before
 
+    @pytest.mark.parametrize("header, command, message", [
+        ("x1,x2,y,y", ["run", "--strategy", "random", "--runs", "2", "--k-max", "4"], "duplicate task name(s): 'y'"),
+        ("x,x,y", ["normalize", "--params-out", "PARAMS"], "duplicate feature name(s): 'x'"),
+    ], ids=("run_task", "normalize_feature"))
+    def test_duplicate_column_names_exit_1_and_write_nothing(self, tmp_path, capsys, header, command, message):
+        data = tmp_path / "dup.csv"
+        width = header.count(",") + 1
+        data.write_text(header + "\n" + "".join(",".join(str(i + j) for j in range(width)) + "\n" for i in range(12)))
+        out, params = tmp_path / "out.csv", tmp_path / "params.json"
+        tasks = str(header.count("y"))
+        argv = [arg.replace("PARAMS", str(params)) for arg in command]
+        code = main([*argv, "--data", str(data), "--tasks", tasks, "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not params.exists()
+
     def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "c.csv"
         code = main(

@@ -249,6 +249,12 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset([[1.0, 2.0]], [[1.0]], ("x",), ("y",))
 
+    def test_rejects_duplicate_names(self):
+        with pytest.raises(ValueError, match="duplicate feature name\\(s\\): 'x'"):
+            Dataset([[1.0, 2.0]], [[1.0]], ("x", "x"), ("y",))
+        with pytest.raises(ValueError, match="duplicate task name\\(s\\): 'y'"):
+            Dataset([[1.0]], [[1.0, 2.0]], ("x",), ("y", "y"))
+
     def test_rejects_bad_group_length(self):
         with pytest.raises(ValueError):
             Dataset([[1.0], [2.0]], [[1.0], [2.0]], ("x",), ("y",), group=("m",))

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alr import harness
 from alr.dataset import Dataset, SplitConfig, gen_synthetic, normalize_features, split_train_test
@@ -19,7 +23,7 @@ from alr.harness import (
     write_curves_csv,
     write_curves_json,
 )
-from alr.metrics import group_fraction, label_std, pearson_cc, rmse
+from alr.metrics import label_std, pearson_cc, rmse
 from alr.regression import SolverConfig, coefficient_mae, fit, parse_solver, predict
 from alr.strategies import SINGLE_TASK_KINDS, parse_strategy
 
@@ -127,8 +131,30 @@ class TestRunSingle:
         result = run_single(pool, test, _cfg(group_value="m"), seed=0)
         for record in result.records:
             assert 0.0 <= record.group_fraction <= 1.0
-        with pytest.raises(ValueError, match="group"):
+
+    def test_group_value_without_group_column_rejected(self):
+        with pytest.raises(ValueError, match="group_value set but the pool has no group column"):
             run_single(*_split_synthetic(), _cfg(group_value="m"), seed=0)
+
+    @pytest.mark.parametrize("tagged, share_at_5", [
+        (lambda pos: True, 1.0),
+        (lambda pos: False, 0.0),
+        (lambda pos: pos in (0, 2), 0.4),
+    ], ids=("all_match", "none_match", "two_of_five"))
+    def test_group_share_of_first_k_selected(self, tagged, share_at_5):
+        """A record's group share is the matching fraction of the first k selected samples."""
+        pool, test = _split_synthetic(d=2)
+        cfg = _cfg(strategy="random", k_max=8)
+        order = selection_sequence(pool, cfg.strategy, cfg.solver, cfg.k_max, seed=4)
+        position = {row: pos for pos, row in enumerate(order)}
+        group = tuple("m" if tagged(position.get(i, -1)) else "f" for i in range(pool.n_samples))
+        pool = Dataset(pool.features, pool.labels, pool.feature_names, pool.task_names, group=group)
+        result = run_single(pool, test, dataclasses.replace(cfg, group_value="m"), seed=4)
+        assert result.selection == tuple(order)
+        shares = {r.k: r.group_fraction for r in result.records}
+        assert shares[5] == share_at_5
+        for k, share in shares.items():
+            assert share == sum(tagged(pos) for pos in range(k)) / k
 
 
 class TestScoringBlocks:
@@ -162,7 +188,7 @@ class TestScoringBlocks:
                 k, *scores(models),
                 [coefficient_mae(m.coefficients, r.coefficients) for m, r in zip(models, reference)],
                 [label_std(pool.labels[rows, p]) for p in range(pool.n_tasks)],
-                group_fraction(pool, rows, cfg.group_value),
+                sum(pool.group[i] == cfg.group_value for i in rows) / len(rows),
                 sum(not m.converged for m in models),
             ))
         return per_k, scores(reference)
@@ -259,6 +285,51 @@ class TestRunExperiment:
         assert first.n_runs == 0 and math.isnan(first.mean)
         later = curve.cell("label_std", "y1", 2)
         assert later.n_runs == 3 and not math.isnan(later.mean)
+
+    def test_d1_experiment_emits_no_warning(self):
+        # K=1 leaves label_std undefined in every run, so its cells reduce over no value
+        data = gen_synthetic(30, 1, 2, 0.1, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = run_experiment(data, _cfg(runs=3))
+        assert curve.cell("label_std", "y2", 1).n_runs == 0
+
+
+def _aggregate_reference(values) -> CurveCell:
+    """The former one-cell formula: mean and sample std of the defined runs, std 0.0 for one."""
+    arr = np.asarray(values, dtype=float)
+    good = arr[~np.isnan(arr)]
+    if good.size == 0:
+        return CurveCell(mean=math.nan, std=math.nan, n_runs=0)
+    std = float(np.std(good, ddof=1)) if good.size > 1 else 0.0
+    return CurveCell(mean=float(good.mean()), std=std, n_runs=int(good.size))
+
+
+class TestAggregate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from((1, 2, 7, 8, 9, 127, 128, 129, 257)) | st.integers(1, 300),
+           st.integers(0, 2**32 - 1))
+    def test_cells_equal_one_cell_formula(self, n_k, p, runs, seed):
+        """One call on a (K's, tasks, runs) stack gives, bit for bit, the one-cell formula on
+        each (K, task) row in row order, whatever runs are NaN: none, some, all but one, all."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n_k, p, runs)) * 10.0 ** rng.integers(-8, 9)
+        for row in values.reshape(-1, runs):
+            pattern = rng.integers(4)
+            if pattern == 1:
+                row[rng.random(runs) < rng.random()] = np.nan
+            elif pattern == 2:
+                row[np.arange(runs) != rng.integers(runs)] = np.nan
+            elif pattern == 3:
+                row[:] = np.nan
+        same = lambda a, b: a == b or (math.isnan(a) and math.isnan(b))
+        cells = harness._aggregate(values)
+        assert len(cells) == n_k * p
+        for cell, row in zip(cells, values.reshape(-1, runs)):
+            ref = _aggregate_reference(row)
+            assert same(cell.mean, ref.mean) and same(cell.std, ref.std) and cell.n_runs == ref.n_runs
+            assert type(cell.mean) is float and type(cell.std) is float and type(cell.n_runs) is int
 
 
 class TestSavedQueries:
@@ -410,6 +481,19 @@ class TestCurveSerialization:
             assert (other.mean == cell.mean) or (math.isnan(other.mean) and math.isnan(cell.mean))
             assert (other.std == cell.std) or (math.isnan(other.std) and math.isnan(cell.std))
             assert other.n_runs == cell.n_runs
+
+    @pytest.mark.parametrize("group_value", (None, "m"))
+    def test_task_named_all_round_trips(self, tmp_path, group_value):
+        base = gen_synthetic(30, 2, 2, 0.1, seed=9)
+        data = Dataset(base.features, base.labels, base.feature_names, ("all", "y2"),
+                       group=tuple("m" if i % 2 == 0 else "f" for i in range(30)))
+        curve = run_experiment(data, _cfg(runs=2, group_value=group_value))
+        path = tmp_path / "curves.csv"
+        write_curves_csv([curve], path)
+        restored = read_curves_csv(path)[0]
+        assert restored.task_names == ("all", "y2")
+        assert restored.cells.keys() == curve.cells.keys()
+        assert ("group_fraction", "all", curve.ks[0]) in restored.cells or group_value is None
 
     def test_json_output(self, tmp_path):
         import json

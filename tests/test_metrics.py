@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from alr.dataset import Dataset
 from alr.harness import MetricRecord
-from alr.metrics import group_fraction, label_std, pearson_cc, rmse
+from alr.metrics import label_std, pearson_cc, rmse
 from alr.regression import coefficient_mae
 
 
@@ -67,18 +65,6 @@ class TestPearson:
             pearson_cc([1.0], [1.0])
 
 
-def _pool_with_labels(labels, group=None):
-    labels = np.asarray(labels, dtype=float)
-    n = labels.shape[0]
-    return Dataset(
-        features=np.arange(n, dtype=float)[:, None],
-        labels=labels,
-        feature_names=("x",),
-        task_names=tuple(f"t{i}" for i in range(labels.shape[1])),
-        group=group,
-    )
-
-
 class TestLabelStd:
     def test_identical_labels(self):
         assert label_std([2.0, 2.0, 2.0]) == 0.0
@@ -97,19 +83,44 @@ class TestLabelStd:
         assert math.isnan(label_std([1.0]))
         assert np.isnan(label_std(np.ones((3, 1)))).all()
 
+    def test_nan_counts_as_missing(self):
+        assert label_std([0.0, math.nan, 1.0]) == label_std([0.0, 1.0])
+        assert np.isnan(label_std([[1.0, math.nan], [math.nan, math.nan]])).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from((1, 2, 7, 8, 9, 127, 128, 129, 257)) | st.integers(1, 300),
+           st.integers(0, 2**32 - 1))
+    def test_nan_padded_prefixes_equal_1d_std(self, p, n, seed):
+        """One call on a (K's, tasks, n) stack padded with NaN past each K's prefix gives,
+        bit for bit, np.std(ddof=1) of every prefix (NaN below 2 labels)."""
+        rng = np.random.default_rng(seed)
+        labels = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-6, 7)
+        ks = np.arange(n + 1)
+        padded = np.where(np.arange(n) < ks[:, None, None], labels, np.nan)
+        stds = label_std(padded)
+        assert stds.shape == (n + 1, p)
+        for k in ks:
+            for row, std in zip(labels, stds[k]):
+                if k < 2:
+                    assert math.isnan(std)
+                else:
+                    assert std == np.std(row[:k], ddof=1)
+
 
 @st.composite
 def _row_pair(draw):
     """Prediction and truth arrays of one (P, n) shape, with some constant rows, each
-    possibly a transposed (non-contiguous) view."""
+    possibly a transposed (non-contiguous) view. Both come from one drawn seed; an array
+    mixes small integers (ties) and floats in a drawn proportion."""
     p, n = draw(st.integers(1, 4)), draw(st.sampled_from((1, 2)) | st.integers(1, 40))
-    values = st.integers(-5, 5).map(float) | st.floats(-1e3, 1e3, allow_subnormal=False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pair = []
     for _ in range(2):
-        a = draw(arrays(float, (p, n), elements=values))
-        for row in draw(st.sets(st.integers(0, p - 1))):
-            a[row] = a[row, 0]
-        pair.append(np.ascontiguousarray(a.T).T if draw(st.booleans()) else a)
+        ints = rng.integers(-5, 6, (p, n)).astype(float)
+        a = np.where(rng.random((p, n)) < rng.random(), ints, rng.uniform(-1e3, 1e3, (p, n)))
+        constant = rng.random(p) < 0.3
+        a[constant] = a[constant, :1]
+        pair.append(np.ascontiguousarray(a.T).T if rng.random() < 0.5 else a)
     return pair
 
 
@@ -130,25 +141,6 @@ class TestRowForms:
         assert same(cc, [pearson_cc(a, b) for a, b in zip(pred, truth)])
         constant = np.ptp(pred, axis=1) == 0
         assert np.isnan(cc[constant]).all()
-
-
-class TestGroupFraction:
-    def test_all_match(self):
-        pool = _pool_with_labels([[1.0]] * 3, group=("m", "m", "m"))
-        assert group_fraction(pool, [0, 1, 2], "m") == 1.0
-
-    def test_none_match(self):
-        pool = _pool_with_labels([[1.0]] * 3, group=("f", "f", "f"))
-        assert group_fraction(pool, [0, 1, 2], "m") == 0.0
-
-    def test_two_of_five(self):
-        pool = _pool_with_labels([[1.0]] * 5, group=("m", "f", "m", "f", "f"))
-        assert group_fraction(pool, [0, 1, 2, 3, 4], "m") == pytest.approx(0.4)
-
-    def test_missing_group_column(self):
-        pool = _pool_with_labels([[1.0]] * 3)
-        with pytest.raises(ValueError, match="group"):
-            group_fraction(pool, [0], "m")
 
 
 class TestMetricRecord:
