@@ -219,13 +219,16 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
     if bad.size:
         row, col = bad[0]  # rows hold lines 2, 3, ... in order
         raise ValueError(f"{path}: non-finite value at line {row + 2}, column '{numeric_names[col]}'")
-    return Dataset(
-        features=table[:, : -task_count],
-        labels=table[:, -task_count:],
-        feature_names=tuple(numeric_names[:-task_count]),
-        task_names=tuple(numeric_names[-task_count:]),
-        group=tuple(groups) if group_column is not None else None,
-    )
+    try:
+        return Dataset(
+            features=table[:, : -task_count],
+            labels=table[:, -task_count:],
+            feature_names=tuple(numeric_names[:-task_count]),
+            task_names=tuple(numeric_names[-task_count:]),
+            group=tuple(groups) if group_column is not None else None,
+        )
+    except ValueError as exc:  # the table's own invariants, such as repeated column names
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(data: Dataset, path, group_column: str = "group") -> None:

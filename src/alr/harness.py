@@ -12,7 +12,8 @@ pass, one `predict` and one call per metric per block of K's (`label_std` on
 the selected labels padded with NaN past each K), each score bit for bit that
 K's alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels.
 `run_experiment` stacks each metric over runs and aggregates it in one
-`_aggregate` call, each cell bit for bit the reduction of its runs alone.
+`_aggregate` call into the curve's (mean, std, n_runs) arrays, each entry bit
+for bit the reduction of its runs alone; the writers format rows from them.
 
 Runs execute one after another and derive their seeds as
 ``seed ^ run_index``.
@@ -39,7 +40,6 @@ __all__ = [
     "ExperimentConfig",
     "MetricRecord",
     "RunResult",
-    "CurveCell",
     "LearningCurve",
     "run_single",
     "run_experiment",
@@ -200,20 +200,13 @@ def selection_sequence(
     return list(_queries(pool, strategy, solver, k_max, seed)[0].labeled)
 
 
-@dataclass(frozen=True)
-class CurveCell:
-    mean: float
-    std: float
-    n_runs: int
-
-
 @dataclass(frozen=True, eq=False)
 class LearningCurve:
     """Per-K aggregates of every metric, over runs.
 
-    Cells are keyed by (metric, task_label, k); task_label is a task name,
-    or "all" for metrics without a task axis (group_fraction). Cell counts
-    are effective run counts: runs where the metric was defined.
+    `stats` maps each metric to its (mean, std, n_runs) arrays, each of shape
+    (rows, K's): the rows are :meth:`rows` of the metric, the columns `ks`.
+    n_runs counts the runs where the metric was defined there.
     `nonconverged` maps each K to the task models, summed over runs, that
     did not converge there; it is written to the JSON curves, not the CSV.
     """
@@ -222,30 +215,28 @@ class LearningCurve:
     solver: str
     task_names: tuple[str, ...]
     ks: tuple[int, ...]
-    cells: dict
+    stats: dict
     n_runs: int
     config: dict = field(default_factory=dict)
     nonconverged: dict = field(default_factory=dict)
 
-    def cell(self, metric: str, task: str, k: int) -> CurveCell:
-        try:
-            return self.cells[(metric, task, k)]
-        except KeyError:
-            raise ValueError(f"{self.strategy}: no {metric} value for task '{task}' at K={k}") from None
+    def rows(self, metric: str) -> tuple[str, ...]:
+        """Row labels of a metric's arrays: the task names, or "all" for group_fraction (no task axis)."""
+        return ("all",) if metric == "group_fraction" else self.task_names
 
     def mean(self, metric: str, task: str, k: int) -> float:
-        return self.cell(metric, task, k).mean
+        rows = self.rows(metric)
+        if metric not in self.stats or task not in rows or k not in self.ks:
+            raise ValueError(f"{self.strategy}: no {metric} value for task '{task}' at K={k}")
+        return self.stats[metric][0][rows.index(task), self.ks.index(k)].item()
 
 
-def _aggregate(values: np.ndarray) -> list[CurveCell]:
-    """One cell per row of `values`, in row order, over the runs on its last axis.
-
-    A cell counts the runs where the metric is defined and holds their mean and sample std;
-    the std is 0.0 for a single such run, and both are NaN for none.
-    """
+def _aggregate(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, std, n_runs) over the runs on the last axis of `values`: n_runs counts the runs where
+    the metric is defined, the std is 0.0 for a single such run, and both are NaN for none."""
     n, mean, std = _defined_stats(values)
     std[n == 1] = 0.0
-    return [CurveCell(*cell) for cell in zip(mean.ravel().tolist(), std.ravel().tolist(), n.ravel().tolist())]
+    return mean, std, n
 
 
 def _run_splits(data: Dataset, cfg: ExperimentConfig) -> Iterator[tuple[Dataset, Dataset, int]]:
@@ -280,33 +271,26 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
         """A record field of every run, runs last: (K's, tasks, runs), or (K's, runs) for a scalar."""
         return np.stack([[getattr(rec, name) for rec in r.records] for r in results], axis=-1)
 
-    task_names = data.task_names
-    cells: dict = {}
-    for metric in ("bl2_rmse", "bl2_cc"):  # per run, so one cell serves every K
-        for task, cell in zip(task_names, _aggregate(np.stack([getattr(r, metric) for r in results], axis=-1))):
-            cells.update(((metric, task, k), cell) for k in ks)
-    keys = [(k, task) for k in ks for task in task_names]
+    stats = {}  # each metric's arrays as (tasks, K's)
+    for metric in ("bl2_rmse", "bl2_cc"):  # per run, so one value per task serves every K
+        per_task = _aggregate(np.stack([getattr(r, metric) for r in results], axis=-1))
+        stats[metric] = tuple(np.repeat(a[:, None], len(ks), axis=1) for a in per_task)
     for metric in ("rmse", "cc", "coef_mae", "label_std"):
-        cells.update(((metric, task, k), cell) for (k, task), cell in zip(keys, _aggregate(over_runs(metric))))
+        stats[metric] = tuple(a.T for a in _aggregate(over_runs(metric)))
     if cfg.group_value is not None:
-        shares = _aggregate(over_runs("group_fraction"))
-        cells.update((("group_fraction", "all", k), cell) for k, cell in zip(ks, shares))
+        stats["group_fraction"] = tuple(a[None] for a in _aggregate(over_runs("group_fraction")))
 
     strategy, solver = strategy_to_string(cfg.strategy), solver_to_string(cfg.solver)
     return LearningCurve(
         strategy=strategy,
         solver=solver,
-        task_names=task_names,
+        task_names=data.task_names,
         ks=ks,
-        cells=cells,
+        stats=stats,
         n_runs=cfg.runs,
         nonconverged=dict(zip(ks, over_runs("nonconverged").sum(axis=-1).tolist())),
         config={**dataclasses.asdict(cfg), "strategy": strategy, "solver": solver},
     )
-
-
-def _curve_bl2(curve: LearningCurve, metric: str, task: str) -> float:
-    return curve.mean(f"bl2_{metric}", task, curve.ks[0])
 
 
 def saved_queries(
@@ -331,9 +315,8 @@ def saved_queries(
         raise ValueError("curves have mismatched K axes or task sets")
 
     out: dict[str, tuple[int | None, int | None]] = {}
-    for task in curve_a.task_names:
-        ref_bl2 = _curve_bl2(curve_ref, measure, task)
-        a_bl2 = _curve_bl2(curve_a, measure, task)
+    for row, task in enumerate(curve_a.task_names):
+        ref_bl2, a_bl2 = (curve.mean(f"bl2_{measure}", task, curve.ks[0]) for curve in (curve_ref, curve_a))
         both_undefined = math.isnan(ref_bl2) and math.isnan(a_bl2)
         if not both_undefined and not math.isclose(ref_bl2, a_bl2, rel_tol=1e-6, abs_tol=1e-12):
             raise ValueError(
@@ -348,10 +331,9 @@ def saved_queries(
             reached = lambda v: v >= threshold
 
         def first_k(curve: LearningCurve) -> int | None:
-            for k in curve.ks:
-                if reached(curve.mean(measure, task, k)):
-                    return k
-            return None
+            curve.mean(measure, task, curve.ks[0])  # a curve without the measure fails here, by name
+            hits = np.flatnonzero(reached(curve.stats[measure][0][row]))
+            return curve.ks[hits[0]] if hits.size else None
 
         out[task] = (first_k(curve_a), first_k(curve_ref))
     return out
@@ -365,18 +347,13 @@ def unique_query_count(mt_sequence, st_sequences) -> tuple[int, int]:
     return len(list(mt_sequence)), len(union)
 
 
-def _curve_cells(curve: LearningCurve) -> Iterator[tuple[str, str, int, CurveCell]]:
-    """(metric, task, k, cell) in file order, for the cells the curve holds.
-
-    Metrics follow _METRIC_ORDER, tasks the dataset order ("all" for
-    group_fraction), and K ascends. Both curve writers walk this order.
-    """
-    for metric in _METRIC_ORDER:
-        for task in ("all",) if metric == "group_fraction" else curve.task_names:
-            for k in curve.ks:
-                cell = curve.cells.get((metric, task, k))
-                if cell is not None:
-                    yield metric, task, k, cell
+def _curve_cells(curve: LearningCurve) -> Iterator[tuple[str, str, int, float, float, int]]:
+    """(metric, task, k, mean, std, n_runs) in file order: metrics in _METRIC_ORDER, tasks as
+    :meth:`LearningCurve.rows`, K ascending. Both curve writers walk this order."""
+    for metric in (m for m in _METRIC_ORDER if m in curve.stats):
+        for task, *row in zip(curve.rows(metric), *(a.tolist() for a in curve.stats[metric])):
+            for k, mean, std, n_runs in zip(curve.ks, *row):
+                yield metric, task, k, mean, std, n_runs
 
 
 def write_curves_csv(curves, path) -> None:
@@ -386,8 +363,8 @@ def write_curves_csv(curves, path) -> None:
         writer.writerow(CURVE_CSV_HEADER)
         for curve in curves:
             writer.writerows(
-                (curve.strategy, curve.solver, task, k, metric, repr(float(c.mean)), repr(float(c.std)), c.n_runs)
-                for metric, task, k, c in _curve_cells(curve)
+                (curve.strategy, curve.solver, task, k, metric, repr(float(mean)), repr(float(std)), n_runs)
+                for metric, task, k, mean, std, n_runs in _curve_cells(curve)
             )
 
 
@@ -409,8 +386,8 @@ def write_curves_json(curves, path) -> None:
             "nonconverged": {str(k): n for k, n in curve.nonconverged.items()},
             "points": [
                 {"metric": metric, "task": task, "k": int(k),
-                 "mean": _json_safe(c.mean), "std": _json_safe(c.std), "n_runs": c.n_runs}
-                for metric, task, k, c in _curve_cells(curve)
+                 "mean": _json_safe(mean), "std": _json_safe(std), "n_runs": n_runs}
+                for metric, task, k, mean, std, n_runs in _curve_cells(curve)
             ],
         }
         for curve in curves
@@ -419,9 +396,10 @@ def write_curves_json(curves, path) -> None:
 
 
 def read_curves_csv(path) -> list[LearningCurve]:
-    """Rebuild LearningCurve objects from a tidy CSV (config echo not recoverable)."""
+    """Rebuild LearningCurve objects from a tidy CSV (config echo not recoverable). A curve's axes are
+    the tasks and K's its rows name; each metric must give one row at every task and K, and none twice."""
     path = Path(path)
-    grouped: dict[tuple[str, str], dict] = {}
+    grouped: dict[tuple[str, str], tuple[dict, list, set]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -432,16 +410,24 @@ def read_curves_csv(path) -> list[LearningCurve]:
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             strategy, solver, task, k, metric, mean, std, n_runs = row
             try:
-                k, cell = int(k), CurveCell(mean=float(mean), std=float(std), n_runs=int(n_runs))
+                k, cell = int(k), (float(mean), float(std), int(n_runs))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            entry = grouped.setdefault((strategy, solver), {"cells": {}, "tasks": [], "ks": set()})
-            if metric != "group_fraction" and task not in entry["tasks"]:  # "all" is group_fraction's
-                entry["tasks"].append(task)
-            entry["ks"].add(k)
-            entry["cells"][(metric, task, k)] = cell
-    return [
-        LearningCurve(strategy, solver, tuple(entry["tasks"]), tuple(sorted(entry["ks"])), entry["cells"],
-                      n_runs=max((c.n_runs for c in entry["cells"].values()), default=0))
-        for (strategy, solver), entry in grouped.items()
-    ]
+            cells, tasks, ks = grouped.setdefault((strategy, solver), ({}, [], set()))
+            if (metric, task, k) in cells:
+                raise ValueError(f"{path}: line {reader.line_num} repeats {metric} for task '{task}' at K={k}")
+            if metric != "group_fraction" and task not in tasks:  # "all" is group_fraction's
+                tasks.append(task)
+            ks.add(k)
+            cells[metric, task, k] = cell
+    curves = []
+    for (strategy, solver), (cells, tasks, ks) in grouped.items():
+        curve = LearningCurve(strategy, solver, tuple(tasks), tuple(sorted(ks)), {},
+                              n_runs=max(n for _, _, n in cells.values()))
+        for metric in dict.fromkeys(metric for metric, _, _ in cells):
+            keys = [(metric, task, k) for task in curve.rows(metric) for k in curve.ks]
+            for _, task, k in (key for key in keys if key not in cells):
+                raise ValueError(f"{path}: {strategy}: no {metric} value for task '{task}' at K={k}")
+            curve.stats[metric] = tuple(np.reshape(a, (-1, len(curve.ks))) for a in zip(*map(cells.get, keys)))
+        curves.append(curve)
+    return curves

@@ -213,7 +213,7 @@ class TestRunErrors:
         argv = [arg.replace("PARAMS", str(params)) for arg in command]
         code = main([*argv, "--data", str(data), "--tasks", tasks, "--out", str(out)])
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert f"error: {data}: {message}" in capsys.readouterr().err
         assert not out.exists() and not params.exists()
 
     def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
@@ -438,6 +438,26 @@ class TestCompare:
         code = main(["compare", "--baseline", str(baseline), "--curves", str(baseline), "--k", "50"])
         assert code == 1
         assert f"error: {baseline}: line 4 has 5 cells, expected 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, reference_flag",
+                             [("compare", "--baseline"), ("saved-queries", "--reference")])
+    def test_repeated_row_exits_1(self, tmp_path, capsys, command, reference_flag):
+        # the second row used to replace the first without a word
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {5: 0.3}}, {"bl2_rmse": 0.2})
+        with baseline.open("a", encoding="utf-8") as fh:
+            fh.write("random,ridge:lambda=10/k,v,5,rmse,0.9,0.0,100\n")
+        extra = ["--k", "5"] if command == "compare" else []
+        code = main([command, reference_flag, str(baseline), "--curves", str(baseline), *extra])
+        assert code == 1
+        assert f"error: {baseline}: line 4 repeats rmse for task 'v' at K=5" in capsys.readouterr().err
+
+    def test_metric_missing_a_k_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {5: 0.3, 6: 0.2}, "cc": {5: 0.5}}, {"bl2_rmse": 0.2})
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(baseline), "--k", "5"])
+        assert code == 1
+        assert f"error: {baseline}: random: no cc value for task 'v' at K=6" in capsys.readouterr().err
 
     def test_non_numeric_mean_cites_file_and_line(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"

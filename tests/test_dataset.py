@@ -38,6 +38,13 @@ class TestLoadCsv:
         assert data.features[1, 0] == 4.0
         assert data.labels[2, 2] == 0.9
 
+    @pytest.mark.parametrize("header, kind, name", [("x,x,y", "feature", "x"), ("x,y,y", "task", "y")])
+    def test_repeated_column_names_the_file(self, tmp_path, header, kind, name):
+        path = _write(tmp_path, header + "\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        with pytest.raises(ValueError) as err:
+            load_csv(path, task_count=header.count("y"))
+        assert str(err.value) == f"{path}: duplicate {kind} name(s): '{name}'"
+
     def test_missing_group_column(self, tmp_path):
         with pytest.raises(ValueError, match="gender"):
             load_csv(_write(tmp_path, CSV_3x5), task_count=3, group_column="gender")

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from alr import harness
 from alr.dataset import Dataset, SplitConfig, gen_synthetic, normalize_features, split_train_test
 from alr.harness import (
     CURVE_CSV_HEADER,
-    CurveCell,
     ExperimentConfig,
     LearningCurve,
     read_curves_csv,
@@ -35,6 +36,12 @@ ALL_KINDS = ("random", "gsx", "gsy", "igs", "mt_gsy", "mt_igs", "qbc", "emcm")
 def _split_synthetic(n=40, d=3, p=2, noise=0.1, seed=0, fraction=0.3):
     data, _ = normalize_features(gen_synthetic(n, d, p, noise, seed=seed))
     return split_train_test(data, SplitConfig(fraction, seed))
+
+
+def _cell(curve, metric, task, k):
+    """(mean, std, n_runs) of one curve entry, as Python scalars."""
+    i, j = curve.rows(metric).index(task), curve.ks.index(k)
+    return tuple(a[i, j].item() for a in curve.stats[metric])
 
 
 def _cfg(strategy="mt_igs", **kwargs):
@@ -234,10 +241,10 @@ class TestRunExperiment:
         manual = run_single(pool, test, cfg, seed=8)
         for i, k in enumerate(curve.ks):
             for p, task in enumerate(curve.task_names):
-                cell = curve.cell("rmse", task, k)
-                assert cell.mean == manual.records[i].rmse[p]
-                assert cell.std == 0.0
-                assert cell.n_runs == 1
+                mean, std, n_runs = _cell(curve, "rmse", task, k)
+                assert mean == manual.records[i].rmse[p]
+                assert std == 0.0
+                assert n_runs == 1
 
     def test_aggregation_is_run_mean(self):
         data = gen_synthetic(40, 3, 2, 0.1, seed=2)
@@ -252,7 +259,7 @@ class TestRunExperiment:
         for p, task in enumerate(curve.task_names):
             values = [m.records[3].rmse[p] for m in manual]
             assert curve.mean("rmse", task, k) == pytest.approx(np.mean(values), abs=1e-15)
-            assert curve.cell("rmse", task, k).std == pytest.approx(np.std(values, ddof=1), abs=1e-15)
+            assert _cell(curve, "rmse", task, k)[1] == pytest.approx(np.std(values, ddof=1), abs=1e-15)
 
     def test_deterministic_and_thread_invariant(self, tmp_path):
         data = gen_synthetic(36, 2, 2, 0.1, seed=3)
@@ -281,10 +288,10 @@ class TestRunExperiment:
         # d=1 gives a K=1 record where label_std is undefined for all runs
         data = gen_synthetic(30, 1, 1, 0.1, seed=6)
         curve = run_experiment(data, _cfg(runs=3))
-        first = curve.cell("label_std", "y1", 1)
-        assert first.n_runs == 0 and math.isnan(first.mean)
-        later = curve.cell("label_std", "y1", 2)
-        assert later.n_runs == 3 and not math.isnan(later.mean)
+        first_mean, _, first_n = _cell(curve, "label_std", "y1", 1)
+        assert first_n == 0 and math.isnan(first_mean)
+        later_mean, _, later_n = _cell(curve, "label_std", "y1", 2)
+        assert later_n == 3 and not math.isnan(later_mean)
 
     def test_d1_experiment_emits_no_warning(self):
         # K=1 leaves label_std undefined in every run, so its cells reduce over no value
@@ -292,17 +299,17 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = run_experiment(data, _cfg(runs=3))
-        assert curve.cell("label_std", "y2", 1).n_runs == 0
+        assert _cell(curve, "label_std", "y2", 1)[2] == 0
 
 
-def _aggregate_reference(values) -> CurveCell:
-    """The former one-cell formula: mean and sample std of the defined runs, std 0.0 for one."""
+def _aggregate_reference(values) -> tuple[float, float, int]:
+    """The former one-cell formula: (mean, sample std, count) of the defined runs, std 0.0 for one."""
     arr = np.asarray(values, dtype=float)
     good = arr[~np.isnan(arr)]
     if good.size == 0:
-        return CurveCell(mean=math.nan, std=math.nan, n_runs=0)
+        return math.nan, math.nan, 0
     std = float(np.std(good, ddof=1)) if good.size > 1 else 0.0
-    return CurveCell(mean=float(good.mean()), std=std, n_runs=int(good.size))
+    return float(good.mean()), std, int(good.size)
 
 
 class TestAggregate:
@@ -311,8 +318,8 @@ class TestAggregate:
            st.sampled_from((1, 2, 7, 8, 9, 127, 128, 129, 257)) | st.integers(1, 300),
            st.integers(0, 2**32 - 1))
     def test_cells_equal_one_cell_formula(self, n_k, p, runs, seed):
-        """One call on a (K's, tasks, runs) stack gives, bit for bit, the one-cell formula on
-        each (K, task) row in row order, whatever runs are NaN: none, some, all but one, all."""
+        """One call on a (K's, tasks, runs) stack gives (K's, tasks) arrays holding, bit for bit, the
+        one-cell formula on each (K, task) row, whatever runs are NaN: none, some, all but one, all."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((n_k, p, runs)) * 10.0 ** rng.integers(-8, 9)
         for row in values.reshape(-1, runs):
@@ -323,29 +330,28 @@ class TestAggregate:
                 row[np.arange(runs) != rng.integers(runs)] = np.nan
             elif pattern == 3:
                 row[:] = np.nan
-        same = lambda a, b: a == b or (math.isnan(a) and math.isnan(b))
-        cells = harness._aggregate(values)
-        assert len(cells) == n_k * p
-        for cell, row in zip(cells, values.reshape(-1, runs)):
-            ref = _aggregate_reference(row)
-            assert same(cell.mean, ref.mean) and same(cell.std, ref.std) and cell.n_runs == ref.n_runs
-            assert type(cell.mean) is float and type(cell.std) is float and type(cell.n_runs) is int
+        mean, std, n_runs = harness._aggregate(values)
+        assert mean.shape == std.shape == n_runs.shape == (n_k, p)
+        reference = [_aggregate_reference(row) for row in values.reshape(-1, runs)]
+        ref_mean, ref_std, ref_n = (np.reshape(a, (n_k, p)) for a in zip(*reference))
+        assert np.array_equal(mean, ref_mean, equal_nan=True) and np.array_equal(std, ref_std, equal_nan=True)
+        assert np.array_equal(n_runs, ref_n)
 
 
 class TestSavedQueries:
     @staticmethod
     def _curve(strategy, ks, values_by_task, bl2_by_task, measure="rmse"):
-        cells = {}
-        for task, values in values_by_task.items():
-            for k, v in zip(ks, values):
-                cells[(measure, task, k)] = CurveCell(v, 0.0, 4)
-                cells[(f"bl2_{measure}", task, k)] = CurveCell(bl2_by_task[task], 0.0, 4)
+        def stats(means):
+            means = np.array(means, dtype=float)
+            return means, np.zeros_like(means), np.full(means.shape, 4)
+
+        bl2 = [[bl2_by_task[task]] * len(ks) for task in values_by_task]
         return LearningCurve(
             strategy=strategy,
             solver="ridge:lambda=10/k",
             task_names=tuple(values_by_task),
             ks=tuple(ks),
-            cells=cells,
+            stats={measure: stats(list(values_by_task.values())), f"bl2_{measure}": stats(bl2)},
             n_runs=4,
         )
 
@@ -450,6 +456,34 @@ class TestUniqueQueries:
         assert k <= st_union <= 3 * k
 
 
+@st.composite
+def _drawn_curves(draw):
+    """A LearningCurve built directly: 1-4 tasks (one may be named "all"), 1-6 ascending K's,
+    every metric with NaN mean and std where n_runs is 0, and group_fraction or not."""
+    name = st.text("abxy_019", min_size=1, max_size=3)
+    tasks = tuple(draw(st.lists(st.just("all") | name, min_size=1, max_size=4, unique=True)))
+    ks = tuple(sorted(draw(st.sets(st.integers(1, 400), min_size=1, max_size=6))))
+    metrics = ("rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc")
+    metrics += ("group_fraction",) if draw(st.booleans()) else ()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stats = {}
+    for metric in metrics:
+        shape = (1 if metric == "group_fraction" else len(tasks), len(ks))
+        n_runs = rng.integers(0, 4, size=shape)
+        mean = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        std = np.where(n_runs == 1, 0.0, np.abs(rng.standard_normal(shape)))
+        mean[n_runs == 0] = std[n_runs == 0] = np.nan
+        stats[metric] = (mean, std, n_runs)
+    return LearningCurve(
+        strategy=draw(st.sampled_from(("random", "gsx", "qbc:task=0"))),
+        solver="ridge:lambda=10/k",
+        task_names=tasks,
+        ks=ks,
+        stats=stats,
+        n_runs=max(int(arrays[2].max()) for arrays in stats.values()),
+    )
+
+
 class TestCurveSerialization:
     def _tagged_experiment(self):
         base = gen_synthetic(30, 2, 2, 0.1, seed=9)
@@ -476,11 +510,28 @@ class TestCurveSerialization:
         assert restored.solver == curve.solver
         assert restored.task_names == curve.task_names
         assert restored.ks == curve.ks
-        for key, cell in curve.cells.items():
-            other = restored.cells[key]
-            assert (other.mean == cell.mean) or (math.isnan(other.mean) and math.isnan(cell.mean))
-            assert (other.std == cell.std) or (math.isnan(other.std) and math.isnan(cell.std))
-            assert other.n_runs == cell.n_runs
+        assert restored.stats.keys() == curve.stats.keys()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_drawn_curves(), min_size=1, max_size=2, unique_by=lambda curve: curve.strategy))
+    def test_written_curves_read_back_equal(self, curves):
+        """write -> read gives the same axes and arrays (NaN where no run is defined), and
+        writing what was read gives the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            write_curves_csv(curves, first)
+            back = read_curves_csv(first)
+            write_curves_csv(back, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert len(back) == len(curves)
+        for curve, restored in zip(curves, back):
+            assert (restored.strategy, restored.solver) == (curve.strategy, curve.solver)
+            assert (restored.task_names, restored.ks) == (curve.task_names, curve.ks)
+            assert restored.n_runs == curve.n_runs
+            assert restored.stats.keys() == curve.stats.keys()
+            for metric, arrays in curve.stats.items():
+                for got, want in zip(restored.stats[metric], arrays):
+                    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("group_value", (None, "m"))
     def test_task_named_all_round_trips(self, tmp_path, group_value):
@@ -492,8 +543,8 @@ class TestCurveSerialization:
         write_curves_csv([curve], path)
         restored = read_curves_csv(path)[0]
         assert restored.task_names == ("all", "y2")
-        assert restored.cells.keys() == curve.cells.keys()
-        assert ("group_fraction", "all", curve.ks[0]) in restored.cells or group_value is None
+        assert restored.stats.keys() == curve.stats.keys()
+        assert ("group_fraction" in restored.stats) == (group_value is not None)
 
     def test_json_output(self, tmp_path):
         import json
