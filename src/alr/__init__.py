@@ -46,7 +46,6 @@ from .regression import (
 from .strategies import (
     PoolState,
     StrategySpec,
-    k0_default,
     parse_strategy,
     select_next,
     strategy_to_string,

@@ -28,7 +28,7 @@ from .harness import (
     write_curves_json,
 )
 from .regression import parse_solver
-from .strategies import SINGLE_TASK_KINDS, _resolve_focus_task, k0_default, parse_strategy, strategy_to_string
+from .strategies import SINGLE_TASK_KINDS, _resolve_focus_task, parse_strategy, strategy_to_string
 
 _DEFAULT_COMPARE_KS = "50,100,150,200,250"
 _DEFAULT_ALPHAS = "1,2,3,5,10"
@@ -108,7 +108,7 @@ def cmd_run(args, parser) -> int:
     if args.focus_task is not None and not 0 <= args.focus_task < data.n_tasks:
         raise ValueError(f"focus_task {args.focus_task} out of range for {data.n_tasks} tasks")
 
-    specs = []
+    specs = {}  # canonical spec -> StrategySpec; a repeated spec would repeat its curve rows
     for text in args.strategy:
         spec = parse_strategy(text)
         if spec.kind in SINGLE_TASK_KINDS and spec.focus_task is None and data.n_tasks > 1:
@@ -120,10 +120,13 @@ def cmd_run(args, parser) -> int:
             spec = dataclasses.replace(spec, focus_task=args.focus_task)
         if spec.kind in SINGLE_TASK_KINDS:
             _resolve_focus_task(spec, data.n_tasks)
-        specs.append(spec)
+        label = strategy_to_string(spec)
+        if label in specs:
+            raise ValueError(f"--strategy {label} is given twice")
+        specs[label] = spec
 
     curves = []
-    for spec in specs:
+    for label, spec in specs.items():
         cfg = ExperimentConfig(
             strategy=spec,
             solver=solver,
@@ -139,7 +142,7 @@ def cmd_run(args, parser) -> int:
         k_end = curve.ks[-1]
         mean_rmse = sum(curve.mean("rmse", t, k_end) for t in curve.task_names) / len(curve.task_names)
         print(
-            f"{strategy_to_string(spec)}: runs={args.runs} K={curve.ks[0]}..{k_end} "
+            f"{label}: runs={args.runs} K={curve.ks[0]}..{k_end} "
             f"mean RMSE@{k_end}={mean_rmse:.4f} (avg over {len(curve.task_names)} tasks)"
         )
         failed = sum(curve.nonconverged.values())
@@ -258,7 +261,7 @@ def cmd_unique_queries(args, parser) -> int:
 
     specs = [mt_spec] + [parse_strategy(f"{args.family}:task={p}") for p in range(pool.n_tasks)]
     mt_seq, *st_seqs = [selection_sequence(pool, spec, solver, k_max=cfg.k_max, seed=seed) for spec in specs]
-    k0, k_max = k0_default(pool.n_features), len(mt_seq)
+    k0, k_max = pool.n_features, len(mt_seq)
 
     rows = []
     for k in range(k0, k_max + 1):

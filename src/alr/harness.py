@@ -416,6 +416,8 @@ def read_curves_csv(path) -> list[LearningCurve]:
             cells, tasks, ks = grouped.setdefault((strategy, solver), ({}, [], set()))
             if (metric, task, k) in cells:
                 raise ValueError(f"{path}: line {reader.line_num} repeats {metric} for task '{task}' at K={k}")
+            if metric == "group_fraction" and task != "all":
+                raise ValueError(f"{path}: line {reader.line_num} gives group_fraction for task '{task}', not 'all'")
             if metric != "group_fraction" and task not in tasks:  # "all" is group_fraction's
                 tasks.append(task)
             ks.add(k)

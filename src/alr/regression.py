@@ -337,6 +337,8 @@ def _parse_spec(text: str, what: str, converters: dict) -> tuple[str, list[tuple
             raise ValueError(f"malformed {what} option '{item}' in '{text}'")
         if key not in converters:
             raise ValueError(f"unknown {what} option '{key}' in '{text}'")
+        if any(key == seen for seen, _ in options):
+            raise ValueError(f"{what} option '{key}' is given twice in '{text}'")
         try:
             options.append((key, converters[key](value)))
         except ValueError:
@@ -384,6 +386,8 @@ def parse_solver(text: str) -> SolverConfig:
     kind, options = _parse_spec(text, "solver", _SOLVER_OPTIONS)
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver '{kind}', expected one of {SOLVER_KINDS}")
+    if {"lambda", "lambda1"} <= {key for key, _ in options}:
+        raise ValueError(f"solver options 'lambda' and 'lambda1' in '{text}' set the same weight; give one")
     fields = dict(_SOLVER_DEFAULTS[kind])
     for key, value in options:
         if key in _PATH_OPTIONS:

@@ -56,7 +56,6 @@ __all__ = [
     "STRATEGY_KINDS",
     "StrategySpec",
     "PoolState",
-    "k0_default",
     "parse_strategy",
     "strategy_to_string",
     "select_next",
@@ -66,13 +65,6 @@ GS_FAMILY = frozenset({"gsx", "gsy", "igs", "mt_gsy", "mt_igs"})
 RANDOM_INIT_KINDS = frozenset({"random", "qbc", "emcm"})
 SINGLE_TASK_KINDS = frozenset({"gsy", "igs", "qbc", "emcm"})
 STRATEGY_KINDS = tuple(sorted(GS_FAMILY | RANDOM_INIT_KINDS))
-
-
-def k0_default(d: int) -> int:
-    """Initial labeled count needed before model-based selection: one per feature."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return d
 
 
 @dataclass(frozen=True)
@@ -128,21 +120,20 @@ class PoolState:
     Tracks the ordered labeled index list, the unlabeled remainder, the
     task models (one :class:`LinearModel` stack, row t for task t) and the
     solver that fitted them, the labeled samples' input distances and a
-    seeded random stream (random/qbc/emcm). Confined to a single run; advance
-    it sequentially.
+    seeded random stream (random/qbc/emcm). `k0`, the labeled count before
+    model-based selection, is the pool's feature count. `add` drops the
+    models, so a model-based pick needs `fit_models` after every label.
+    Confined to a single run; advance it sequentially.
     """
 
-    def __init__(self, pool: Dataset, rng=0, k0: int | None = None):
+    def __init__(self, pool: Dataset, rng=0):
         self.pool = pool
         self.labeled: list[int] = []
         self._is_labeled = np.zeros(pool.n_samples, dtype=bool)
         self.models: LinearModel | None = None
         self.solver: SolverConfig | None = None
         self.rng = np.random.default_rng(rng)
-        self.k0 = k0_default(pool.n_features) if k0 is None else int(k0)
-        if self.k0 < 1:
-            raise ValueError("k0 must be >= 1")
-        self._models_k = -1
+        self.k0 = pool.n_features
         self._features_t = np.ascontiguousarray(pool.features.T)
         self._distances = np.empty((0, pool.n_samples))
         self._n_distances = 0
@@ -165,6 +156,7 @@ class PoolState:
             raise ValueError(f"index {index} is already labeled")
         self.labeled.append(index)
         self._is_labeled[index] = True
+        self.models = None
 
     def fit_models(self, solver: SolverConfig) -> None:
         """Refit all per-task models from scratch on the current labeled set, and keep `solver`."""
@@ -176,10 +168,11 @@ class PoolState:
         rows = self.labeled
         self.models = fit(self.pool.features[rows], self.pool.labels[rows], solver)
         self.solver = solver
-        self._models_k = self.n_labeled
 
     def _labeled_distances(self) -> np.ndarray:
         """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K.
+        Each new row is folded into `_nearest`, every pool sample's distance to its nearest labeled
+        sample (`min` is exact, so the order does not matter).
 
         Summing down the C-contiguous d x n copy adds each pair's squares feature by feature; a
         transposed view would sum them pairwise and change the last bits.
@@ -196,17 +189,9 @@ class PoolState:
         self._n_distances = k
         return self._distances[:k]
 
-    def _nearest_distances(self) -> np.ndarray:
-        """Every pool sample's distance to its nearest labeled sample: the ledger's min over rows,
-        folded in as each row is computed (`min` is exact, so the order does not matter)."""
-        self._labeled_distances()
-        return self._nearest
-
     def _require_models(self) -> LinearModel:
         if self.models is None:
-            raise ValueError("no fitted models; call fit_models() first")
-        if self._models_k != self.n_labeled:
-            raise ValueError("models are stale; refit after labeling")
+            raise ValueError("no fitted models, or models stale since the last label; call fit_models()")
         return self.models
 
 
@@ -222,7 +207,8 @@ def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tas
     right, then the input distance; the floating-point scores depend on that order.
     """
     if not tasks:
-        return state._nearest_distances()[unlabeled]
+        state._labeled_distances()
+        return state._nearest[unlabeled]
     preds = predict(state._require_models(), state.pool.features[unlabeled])
     labels = state.pool.labels[state.labeled]
     ledger = state._labeled_distances() if use_input else None

@@ -20,8 +20,8 @@ def make_pool(features, labels):
     )
 
 
-def make_state(features, labels, labeled=(), seed=0, k0=None):
-    state = PoolState(make_pool(features, labels), rng=seed, k0=k0)
+def make_state(features, labels, labeled=(), seed=0):
+    state = PoolState(make_pool(features, labels), rng=seed)
     for idx in labeled:
         state.add(idx)
     return state
@@ -48,7 +48,6 @@ def set_models(state, coefficients, intercepts=0.0):
     current labeled set."""
     coefficients = np.asarray(coefficients, dtype=float)
     state.models = LinearModel(coefficients, np.broadcast_to(intercepts, coefficients.shape[:-1]))
-    state._models_k = state.n_labeled
 
 
 def oracle_models(state):

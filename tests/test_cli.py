@@ -157,6 +157,27 @@ class TestRunErrors:
         assert captured.out == ""
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            (["--strategy", "random", "--strategy", "random"], "random"),
+            (["--strategy", "gsy:task=1", "--strategy", "gsy", "--focus-task", "1"], "gsy:task=1"),
+        ],
+    )
+    def test_repeated_strategy_exits_1_before_any_experiment(self, tmp_path, synth_csv, capsys, flags, spec):
+        # its curve rows would repeat, and the curve readers reject a repeated row
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", *flags,
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: --strategy {spec} is given twice" in captured.err
+        assert captured.out == ""
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_missing_out_directory_exits_1_before_any_experiment(self, tmp_path, synth_csv, capsys):
         capsys.readouterr()
         out = tmp_path / "missing" / "c.csv"
@@ -261,6 +282,10 @@ class TestRunErrors:
             ("ridge:lambda=1,tol=1e-3", "ridge takes no tol or max_iters"),
             ("ridge:lambda=abc", "solver option 'lambda' in 'ridge:lambda=abc' expects a number, got 'abc'"),
             ("lasso:max_iters=1.5", "solver option 'max_iters' in 'lasso:max_iters=1.5' expects an integer"),
+            ("ridge:lambda=1,lambda=2", "solver option 'lambda' is given twice in 'ridge:lambda=1,lambda=2'"),
+            ("lasso:tol=1e-3,tol=1e-4", "solver option 'tol' is given twice in 'lasso:tol=1e-3,tol=1e-4'"),
+            ("elastic_net:lambda=1,lambda1=2",
+             "solver options 'lambda' and 'lambda1' in 'elastic_net:lambda=1,lambda1=2' set the same weight"),
         ],
     )
     def test_ignored_solver_option_exits_1(self, tmp_path, synth_csv, capsys, solver, message):
@@ -281,6 +306,7 @@ class TestRunErrors:
         [
             ("gsx:task=1", "strategy gsx takes no 'task' option"),
             ("random:committee=8", "strategy random takes no 'committee' option"),
+            ("qbc:task=0,task=1", "strategy option 'task' is given twice in 'qbc:task=0,task=1'"),
         ],
     )
     def test_ignored_strategy_option_exits_1(self, tmp_path, synth_csv, capsys, strategy, message):
@@ -451,6 +477,19 @@ class TestCompare:
         code = main([command, reference_flag, str(baseline), "--curves", str(baseline), *extra])
         assert code == 1
         assert f"error: {baseline}: line 4 repeats rmse for task 'v' at K=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, reference_flag",
+                             [("compare", "--baseline"), ("saved-queries", "--reference")])
+    def test_group_fraction_row_of_a_task_exits_1(self, tmp_path, capsys, command, reference_flag):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {5: 0.3}}, {"bl2_rmse": 0.2})
+        with baseline.open("a", encoding="utf-8") as fh:
+            fh.write("random,ridge:lambda=10/k,all,5,group_fraction,0.5,0.0,100\n")
+            fh.write("random,ridge:lambda=10/k,v,5,group_fraction,0.9,0.0,100\n")
+        extra = ["--k", "5"] if command == "compare" else []
+        code = main([command, reference_flag, str(baseline), "--curves", str(baseline), "--measure", "rmse", *extra])
+        assert code == 1
+        assert f"error: {baseline}: line 5 gives group_fraction for task 'v', not 'all'" in capsys.readouterr().err
 
     def test_metric_missing_a_k_exits_1(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"

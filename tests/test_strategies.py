@@ -22,23 +22,12 @@ from alr.strategies import (
     StrategySpec,
     _committee_scores,
     _greedy_scores,
-    k0_default,
     parse_strategy,
     select_next,
     strategy_to_string,
 )
 
 RIDGE = SolverConfig("ridge", lam=1.0)
-
-
-class TestK0Default:
-    @pytest.mark.parametrize("d,expected", [(46, 46), (26, 26), (1, 1)])
-    def test_equals_feature_count(self, d, expected):
-        assert k0_default(d) == expected
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            k0_default(0)
 
 
 class TestInitialCentroid:
@@ -114,6 +103,7 @@ class TestGsy:
     def test_stale_models_rejected(self):
         state = self._state()
         state.add(2)
+        assert state.models is None
         with pytest.raises(ValueError, match="stale"):
             select_next(state, StrategySpec("gsy", focus_task=0))
 
@@ -127,13 +117,12 @@ class TestMtGsy:
             )
 
     def test_hand_product_table(self):
-        # per-task gaps to the single labeled output (0, 0):
+        # per-task gaps to the labeled outputs, both (0, 0):
         # a=(1,1)->1, b=(2,0.4)->0.8, c=(0.5,3)->1.5
         state = make_state(
-            [[9.0, 9.0], [1.0, 1.0], [2.0, 0.4], [0.5, 3.0]],
-            [[0.0, 0.0]] * 4,
-            labeled=[0],
-            k0=1,
+            [[9.0, 9.0], [1.0, 1.0], [2.0, 0.4], [0.5, 3.0], [0.0, 0.0]],
+            [[0.0, 0.0]] * 5,
+            labeled=[0, 4],
         )
         set_models(state, [[1.0, 0.0], [0.0, 1.0]])
         assert select_next(state, StrategySpec("mt_gsy")) == 3
@@ -175,7 +164,7 @@ def _scale_task(state, task, c):
     """Clone a state with one task's labels and fitted model scaled by c."""
     labels = state.pool.labels.copy()
     labels[:, task] *= c
-    clone = make_state(state.pool.features, labels, labeled=list(state.labeled), k0=state.k0)
+    clone = make_state(state.pool.features, labels, labeled=list(state.labeled))
     coefs, intercepts = state.models.coefficients.copy(), state.models.intercept.copy()
     coefs[task] *= c
     intercepts[task] *= c
@@ -502,7 +491,8 @@ class TestGreedyBlocks:
             assert np.array_equal(scores, reference, equal_nan=True)
             assert pick == unlabeled[np.argmax(reference)]
             state.add(pick)
-            assert np.array_equal(state._nearest_distances(), state._labeled_distances().min(axis=0))
+            ledger = state._labeled_distances()
+            assert np.array_equal(state._nearest, ledger.min(axis=0))
 
 
 class TestCommitteeStack:
