@@ -15,8 +15,8 @@ K's alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels.
 `_aggregate` call into the curve's (mean, std, n_runs) arrays, each entry bit
 for bit the reduction of its runs alone; the writers format rows from them.
 
-Runs execute one after another and derive their seeds as
-``seed ^ run_index``.
+Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``: at each K
+every run selects and labels its sample, in run order, then one `fit` covers every run.
 """
 
 from __future__ import annotations
@@ -121,51 +121,64 @@ def _block_scores(models: LinearModel, test: Dataset) -> tuple[np.ndarray, np.nd
     return rmse(preds, truth), pearson_cc(preds, truth)
 
 
+def _check_split(pool: Dataset, test: Dataset, cfg: ExperimentConfig) -> None:
+    """Reject a split the run could not score, before any query."""
+    if pool.n_features != test.n_features or pool.n_tasks != test.n_tasks:
+        raise ValueError("pool and test must share feature and task dimensions")
+    if cfg.group_value is not None and pool.group is None:
+        raise ValueError("group_value set but the pool has no group column")
+
+
 def _queries(
-    pool: Dataset, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seed: int
-) -> tuple[PoolState, LinearModel]:
-    """The query loop: label one pool sample per step and refit every task from k0 on.
-
-    Returns the final state and the task models fitted at K = k0..k_max, one
-    stack. A budget-scaled lambda is resolved against k_max before the first fit, so
-    state.solver holds the solver every fit of the run used.
-    """
-    state = PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    if k_max is None and pool.n_samples < state.k0:
-        raise ValueError(f"pool of {pool.n_samples} samples is smaller than k0={state.k0} (one label per feature)")
-    k_max = pool.n_samples if k_max is None else k_max
-    if not state.k0 <= k_max <= pool.n_samples:
-        raise ValueError(
-            f"k_max must lie in [k0={state.k0}, pool size={pool.n_samples}], got {k_max}"
-        )
+    pools, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seeds
+) -> list[tuple[PoolState, LinearModel]]:
+    """The query loop of R runs in lockstep on pools of one shape: each step labels one sample per
+    run, in run order and from the run's own stream (seeds[r]), and from k0 on one `fit` refits every
+    task of every run on the rows kept in (R, k_max, d) and (R, k_max, P) buffers. Returns each run's
+    final state and its task models at K = k0..k_max, one stack. A budget-scaled lambda is resolved
+    against k_max before the first fit, so state.solver holds the solver every fit of the run used."""
+    states = [PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+              for pool, seed in zip(pools, seeds)]
+    (n, d), n_tasks, k0 = pools[0].features.shape, pools[0].n_tasks, states[0].k0
+    if k_max is None and n < k0:
+        raise ValueError(f"pool of {n} samples is smaller than k0={k0} (one label per feature)")
+    k_max = n if k_max is None else k_max
+    if not k0 <= k_max <= n:
+        raise ValueError(f"k_max must lie in [k0={k0}, pool size={n}], got {k_max}")
     solver = resolve_lambda(solver, budget=k_max)
-    coefs = np.empty((k_max - state.k0 + 1, pool.n_tasks, pool.n_features))
-    intercepts, nonconverged = np.empty(coefs.shape[:2]), np.empty(coefs.shape[:2], dtype=bool)
-    while state.n_labeled < k_max:
-        state.add(select_next(state, strategy))
-        if state.n_labeled >= state.k0:
-            state.fit_models(solver)
-            fitted, i = state.models, state.n_labeled - state.k0
-            coefs[i], intercepts[i], nonconverged[i] = fitted.coefficients, fitted.intercept, fitted.nonconverged
-    return state, LinearModel(coefs, intercepts, nonconverged=nonconverged)
+    features, labels = np.empty((len(states), k_max, d)), np.empty((len(states), k_max, n_tasks))
+    coefs = np.empty((len(states), k_max - k0 + 1, n_tasks, d))
+    intercepts, nonconverged = np.empty(coefs.shape[:3]), np.empty(coefs.shape[:3], dtype=bool)
+    for k in range(1, k_max + 1):
+        for r, state in enumerate(states):
+            state.add(index := select_next(state, strategy))
+            features[r, k - 1], labels[r, k - 1] = state.pool.features[index], state.pool.labels[index]
+        if k >= k0:
+            fitted = fit(features[:, :k], labels[:, :k], solver)
+            coefs[:, k - k0], intercepts[:, k - k0], nonconverged[:, k - k0] = (
+                fitted.coefficients, fitted.intercept, fitted.nonconverged)
+            for r, state in enumerate(states):
+                state.models, state.solver = fitted[r], solver
+    models = LinearModel(coefs, intercepts, nonconverged=nonconverged)
+    return [(state, models[r]) for r, state in enumerate(states)]
 
 
-def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None) -> RunResult:
+def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None, *,
+               queried: tuple[PoolState, LinearModel] | None = None) -> RunResult:
     """Run one active-learning pass over a fixed pool/test split.
 
     Queries one sample per iteration until the pool is exhausted or
     cfg.k_max is reached, refitting all per-task models from scratch after
     every query (single-task strategies still fit every task for
-    evaluation). The finished run is then scored: a MetricRecord for each
-    K >= k0, counting the task models that did not converge, with test
-    scores computed in blocks of K's and coefficient MAE measured against
-    the full-pool reference model.
+    evaluation): the one-run case of the lockstep loop. The finished run is
+    then scored: a MetricRecord for each K >= k0, counting the task models
+    that did not converge, with test scores computed in blocks of K's and
+    coefficient MAE measured against the full-pool reference model.
     """
-    if pool.n_features != test.n_features or pool.n_tasks != test.n_tasks:
-        raise ValueError("pool and test must share feature and task dimensions")
-    if cfg.group_value is not None and pool.group is None:
-        raise ValueError("group_value set but the pool has no group column")
-    state, models = _queries(pool, cfg.strategy, cfg.solver, cfg.k_max, cfg.seed if seed is None else seed)
+    if queried is None:  # run_experiment queries its runs in lockstep and passes each run's outcome
+        _check_split(pool, test, cfg)
+        queried = _queries([pool], cfg.strategy, cfg.solver, cfg.k_max, [cfg.seed if seed is None else seed])[0]
+    state, models = queried
 
     reference = fit(pool.features, pool.labels, state.solver)
     bl2_rmse, bl2_cc = _block_scores(reference, test)
@@ -197,7 +210,7 @@ def selection_sequence(
     seed: int = 0,
 ) -> list[int]:
     """The ordered query sequence a strategy produces on a fixed pool (run_single's loop)."""
-    return list(_queries(pool, strategy, solver, k_max, seed)[0].labeled)
+    return list(_queries([pool], strategy, solver, k_max, [seed])[0][0].labeled)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,13 +270,21 @@ def _run_splits(data: Dataset, cfg: ExperimentConfig) -> Iterator[tuple[Dataset,
 
 
 def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> LearningCurve:
-    """Aggregate cfg.runs independent runs, one after another, into a learning curve.
+    """Aggregate cfg.runs independent runs into a learning curve.
 
-    Runs come from :func:`_run_splits`. `threads` is accepted and ignored, but must be >= 1.
+    The runs come from :func:`_run_splits` and are queried in lockstep. Each is then scored by its
+    own :func:`run_single` call, handed its queried state and models, so that the benchmark's
+    checks, which wrap `run_single`, still see every run. `threads` is accepted and ignored, but
+    must be >= 1.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    results = [run_single(pool, test, cfg, seed=seed) for pool, test, seed in _run_splits(data, cfg)]
+    pools, tests, seeds = zip(*_run_splits(data, cfg))
+    _check_split(pools[0], tests[0], cfg)  # the splits of one dataset share their shapes and group column
+    # popped in run order, so that each run's state is freed once it is scored
+    queried = _queries(pools, cfg.strategy, cfg.solver, cfg.k_max, seeds)[::-1]
+    results = [run_single(pool, test, cfg, seed, queried=queried.pop())
+               for pool, test, seed in zip(pools, tests, seeds)]
 
     ks = tuple(rec.k for rec in results[0].records)  # every run splits the same data alike
 

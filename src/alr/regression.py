@@ -19,10 +19,11 @@ guard: a fit is converged when the KKT residual is at most 10·tol.
 
 :func:`fit` returns one :class:`LinearModel` stack per call. On (k, P) targets it centres X and
 forms XcᵀXc once for all P columns, and solves each column alone, so row p is bit for bit
-the fit to column p. (B, k, d) features with (B, k) targets add a leading member axis: B
-designs, each centred and solved on its own in the same stacked calls, so row b is bit for
-bit the fit to member b's rows. A 2-D call is the one-member case. :func:`predict` is the
-one formula that evaluates a model or a stack.
+the fit to column p. (R, k, d) features with (R, k, P) targets add a leading run axis: R
+designs, each centred and solved on its own in the same stacked calls, so row (r, p) is bit
+for bit the fit to column p of run r's rows. A 2-D call is the one-run case, and (B, k)
+targets are the P = 1 case: B committee members. :func:`predict` is the one formula that
+evaluates a model or a stack.
 """
 
 from __future__ import annotations
@@ -113,8 +114,13 @@ class LinearModel:
             object.__setattr__(self, name, value)
 
     def __getitem__(self, index) -> LinearModel:
-        """The models at `index` along the leading axes."""
-        return LinearModel(self.coefficients[index], self.intercept[index], nonconverged=self.nonconverged[index])
+        """The models at `index` along the leading axes, as read-only views of this model's checked
+        arrays (a 0-d intercept stays an array), made without `__post_init__`'s copies and checks."""
+        model, key = object.__new__(LinearModel), (*index, ...) if isinstance(index, tuple) else (index, ...)
+        for name in ("coefficients", "intercept", "nonconverged"):
+            (value := getattr(self, name)[key]).setflags(write=False)  # a fancy index copies
+            object.__setattr__(model, name, value)
+        return model
 
     @property
     def converged(self) -> bool:
@@ -141,10 +147,11 @@ def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
 def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     """Fit a linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
 
-    (B, k, d) features with (B, k) targets are B separate problems on a leading
-    member axis (a committee's bootstrap resamples, say). The model's
-    coefficients are (d,), (P, d) or (B, d) and its intercepts (), (P,) or (B,),
-    each row bit for bit the fit to its column or member alone.
+    (R, k, d) features with (R, k, P) targets are R separate designs on a leading
+    run axis (the runs of an experiment, say); (B, k) targets are its P = 1 case
+    (a committee's bootstrap resamples). The model's coefficients are (d,), (P, d),
+    (R, P, d) or (B, d) and its intercepts (), (P,), (R, P) or (B,), each row bit
+    for bit the fit to its column of its design alone.
 
     The penalty applied is cfg.lam, or cfg.lam / k on k rows when
     cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
@@ -156,17 +163,18 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
     if X.ndim == 3:
-        if Y.ndim != 2 or len(Y) != len(X):
-            raise ValueError(f"features of shape {X.shape} need targets of shape ({len(X)}, k), got {Y.shape}")
-        Yt, index = Y[:, None, :], (slice(None), 0)
+        if Y.ndim not in (2, 3) or len(Y) != len(X):
+            raise ValueError(f"features of shape {X.shape} need targets of shape ({len(X)}, k) "
+                             f"or ({len(X)}, k, P), got {Y.shape}")
+        Yt, index = (Y[:, None, :], (slice(None), 0)) if Y.ndim == 2 else (Y.swapaxes(1, 2), ())
     elif X.ndim != 2:
-        raise ValueError(f"features must be 2-D, or 3-D with a leading member axis, got shape {X.shape}")
+        raise ValueError(f"features must be 2-D, or 3-D with a leading run axis, got shape {X.shape}")
     elif Y.ndim not in (1, 2):
         raise ValueError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
     else:
         X, Yt = X[None], (Y[:, None] if Y.ndim == 1 else Y).T[None]
         index = (0, 0) if Y.ndim == 1 else 0
-    # X is (M, k, d) and Yt (M, P, k): M members of P tasks each, one problem per (member, task)
+    # X is (M, k, d) and Yt (M, P, k): M members (or runs) of P tasks each, one problem per (member, task)
     n_members, k, d = X.shape
     if k < 1:
         raise ValueError("need at least one training row")

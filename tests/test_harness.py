@@ -302,6 +302,73 @@ class TestRunExperiment:
         assert _cell(curve, "label_std", "y2", 1)[2] == 0
 
 
+def _assert_same_run(got, want):
+    """Two RunResults with the same selection, bl2 scores and records, bit for bit (NaN equal to NaN)."""
+    assert got.selection == want.selection
+    for name in ("bl2_rmse", "bl2_cc"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.k, a.group_fraction, a.nonconverged) == (b.k, b.group_fraction, b.nonconverged)
+        for name in ("rmse", "cc", "coef_mae", "label_std"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), (a.k, name)
+
+
+class TestLockstep:
+    """run_experiment queries its runs in lockstep; each run equals run_single on its split alone."""
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        solver=st.sampled_from(("ols", "ridge:lambda=10/k", "ridge:lambda=10/kmax", "lasso:max_iters=1",
+                                "elastic_net")),
+        runs=st.integers(1, 4),
+        grouped=st.booleans(),
+        normalize_before_split=st.booleans(),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_run_equals_run_single_alone(self, kind, solver, runs, grouped, normalize_before_split,
+                                              shape, seed):
+        d, p = shape
+        data = gen_synthetic(40, d, p, 0.1, seed=seed)
+        if grouped:
+            data = Dataset(data.features, data.labels, data.feature_names, data.task_names,
+                           group=tuple("m" if i % 3 == 0 else "f" for i in range(40)))
+        cfg = _cfg(strategy=f"{kind}:task=0" if kind in SINGLE_TASK_KINDS else kind, solver=parse_solver(solver),
+                   runs=runs, k_max=d + 6, seed=seed, normalize_before_split=normalize_before_split,
+                   group_value="m" if grouped else None)
+        captured = []
+
+        def capture(pool, test, cfg, *args, **kwargs):
+            result = run_single(pool, test, cfg, *args, **kwargs)
+            captured.append((pool, test, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "run_single", capture)
+            run_experiment(data, cfg)
+        assert len(captured) == runs
+        for r, (pool, test, result) in enumerate(captured):
+            _assert_same_run(result, run_single(pool, test, cfg, seed=cfg.seed ^ r))
+
+    def test_bad_config_fails_before_any_query(self, monkeypatch):
+        def no_query(*args, **kwargs):
+            raise AssertionError("select_next ran before the config was checked")
+
+        monkeypatch.setattr(harness, "select_next", no_query)
+        data = gen_synthetic(30, 2, 1, 0.1, seed=0)
+        with pytest.raises(ValueError, match="group_value set but the pool has no group column"):
+            run_experiment(data, _cfg(group_value="a", runs=3))
+        with pytest.raises(ValueError, match="group_value set but the pool has no group column"):
+            run_single(*_split_synthetic(), _cfg(group_value="a"), seed=0)
+        pool, _ = _split_synthetic(d=3)
+        _, test = _split_synthetic(d=4)
+        with pytest.raises(ValueError, match="share"):
+            run_single(pool, test, _cfg(), seed=0)
+
+
 def _aggregate_reference(values) -> tuple[float, float, int]:
     """The former one-cell formula: (mean, sample std, count) of the defined runs, std 0.0 for one."""
     arr = np.asarray(values, dtype=float)

@@ -368,13 +368,52 @@ class TestMemberAxis:
 
     def test_mismatched_member_axis_rejected(self):
         X = np.ones((3, 4, 2))
-        for targets in (np.ones((2, 4)), np.ones(4), np.ones((3, 4, 1))):
+        for targets in (np.ones((2, 4)), np.ones(4), np.ones((2, 4, 1)), np.ones((3, 4, 1, 1))):
             with pytest.raises(ValueError, match=r"need targets of shape \(3, k\)"):
                 fit(X, targets, SolverConfig("ols"))
-        with pytest.raises(ValueError, match="5 targets for 4 rows"):
-            fit(X, np.ones((3, 5)), SolverConfig("ols"))
+        for targets in (np.ones((3, 5)), np.ones((3, 5, 2))):
+            with pytest.raises(ValueError, match="5 targets for 4 rows"):
+                fit(X, targets, SolverConfig("ols"))
         with pytest.raises(ValueError, match="features must be 2-D, or 3-D"):
             fit(np.ones((1, 3, 4, 2)), np.ones((1, 3, 4)), SolverConfig("ols"))
+
+
+class TestRunAxis:
+    """(R, k, d) features with (R, k, P) targets give an (R, P, d) model, each run's rows bit for bit the
+    2-D fit to that run alone."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(1, 30), st.integers(1, 5), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        duplicate=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        cfg=st.sampled_from(TestMultiTarget.SOLVERS),
+    )
+    def test_each_run_equals_its_own_fit(self, shape, seed, duplicate, log_scale, cfg):
+        runs, k, d, p = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((runs, k, d)) * 10.0**log_scale
+        if duplicate:
+            X[..., -1] = X[..., 0]
+        Y = X @ rng.standard_normal((d, p)) + rng.standard_normal((runs, k, p)) * 10.0**log_scale
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = fit(X, Y, cfg)
+        # one warning per non-converged problem
+        assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
+        assert len(caught) == model.nonconverged.sum()
+        assert model.coefficients.shape == (runs, p, d) and model.intercept.shape == (runs, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            singles = [fit(X[r], Y[r], cfg) for r in range(runs)]
+            members = fit(X, Y[..., 0], cfg)  # the (R, k) member call is the P = 1 case
+        for r, single in enumerate(singles):
+            assert np.array_equal(model.coefficients[r], single.coefficients)
+            assert np.array_equal(model.intercept[r], single.intercept)
+            assert np.array_equal(model.nonconverged[r], single.nonconverged)
+            assert np.array_equal(members.coefficients[r], single.coefficients[0])
+            assert members.intercept[r] == single.intercept[0]
 
 
 class TestModelShapes:
@@ -422,6 +461,24 @@ class TestModelShapes:
                                  (1.0, 0.0)):
             with pytest.raises(ValueError, match="does not match"):
                 LinearModel(coefs, intercept)
+
+    def test_index_gives_read_only_views(self):
+        rng = np.random.default_rng(2)
+        coefs, intercepts = rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 2))
+        mask = rng.random((3, 2)) < 0.5
+        model = LinearModel(coefs, intercepts, nonconverged=mask)
+        assert isinstance(model[0, 1].intercept, np.ndarray) and model[0, 1].intercept.shape == ()
+        assert isinstance(model[0][1].intercept, np.ndarray)
+        for index in (0, 2, (1, 0), slice(1, 3), [2, 0]):
+            got = model[index]
+            want = LinearModel(coefs[index], intercepts[index], nonconverged=mask[index])
+            for name in ("coefficients", "intercept", "nonconverged"):
+                value = getattr(got, name)
+                assert np.array_equal(value, getattr(want, name)) and value.shape == getattr(want, name).shape
+                with pytest.raises(ValueError):
+                    value[...] = 0
+            assert got.converged is want.converged
+        assert np.shares_memory(model[1].coefficients, model.coefficients)
 
     def test_arrays_are_read_only_copies(self):
         coefs, intercepts = np.ones((2, 3)), np.zeros(2)
