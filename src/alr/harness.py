@@ -15,8 +15,9 @@ K's alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels.
 `_aggregate` call into the curve's (mean, std, n_runs) arrays, each entry bit
 for bit the reduction of its runs alone; the writers format rows from them.
 
-Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``: at each K
-every run selects and labels its sample, in run order, then one `fit` covers every run.
+Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``: at each K every
+run selects and labels its sample, in run order (a committee phase scores all runs in one pass,
+each run drawing its own resamples, in run order), then one `fit` covers every run.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
 from .metrics import _defined_stats, label_std, pearson_cc, rmse
 from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
-from .strategies import PoolState, StrategySpec, select_next, strategy_to_string
+from .strategies import PoolState, StrategySpec, _committee_phase, _committee_picks, select_next, strategy_to_string
 
 __all__ = [
     "ExperimentConfig",
@@ -150,8 +151,10 @@ def _queries(
     coefs = np.empty((len(states), k_max - k0 + 1, n_tasks, d))
     intercepts, nonconverged = np.empty(coefs.shape[:3]), np.empty(coefs.shape[:3], dtype=bool)
     for k in range(1, k_max + 1):
-        for r, state in enumerate(states):
-            state.add(index := select_next(state, strategy))
+        batch = _committee_phase(states[0], strategy)  # every run holds k - 1 labels: one phase for all
+        picks = _committee_picks(states, strategy) if batch else [select_next(state, strategy) for state in states]
+        for r, (state, index) in enumerate(zip(states, picks)):
+            state.add(index)
             features[r, k - 1], labels[r, k - 1] = state.pool.features[index], state.pool.labels[index]
         if k >= k0:
             fitted = fit(features[:, :k], labels[:, :k], solver)

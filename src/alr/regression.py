@@ -303,14 +303,14 @@ def _lasso_path(gram: np.ndarray, corr: np.ndarray, l1: float, l2: float, max_it
 
 
 def predict(model: LinearModel, features) -> np.ndarray:
-    """Model output on (n, d) features: (n,) for one model, (..., n) for a stack, each row a
-    (1, d) @ (d, n) product, bit for bit `features @ coefficients[i] + intercept[i]`."""
+    """Model output (..., n) on (..., n, d) features, their leading axes broadcast against the stack's; each
+    row is a (1, d) @ (d, n) product, bit for bit `features[i] @ coefficients[i] + intercept[i]`."""
     X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {X.shape}")
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"model expects {model.n_features} features, got {X.shape[1]}")
-    return (model.coefficients[..., None, :] @ X.T)[..., 0, :] + model.intercept[..., None]
+    if X.ndim < 2:
+        raise ValueError(f"features must be (..., n, d), got shape {X.shape}")
+    if X.shape[-1] != model.n_features:
+        raise ValueError(f"model expects {model.n_features} features, got {X.shape[-1]}")
+    return (model.coefficients[..., None, :] @ X.swapaxes(-1, -2))[..., 0, :] + model.intercept[..., None]
 
 
 def coefficient_mae(coefs, reference):

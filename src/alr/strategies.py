@@ -22,7 +22,9 @@ at a time and keep a running min over blocks. Either way every score has the
 bits of the min over one labeled x candidates matrix.
 
 The committee rules score the focus task t with B bootstrap refits f_b of
-its model (B = committee_size), fitted together in one stacked fit call:
+its model (B = committee_size). Each run draws its resamples from its own
+stream; the members of all runs at one K are fitted in one stacked fit call,
+in cache-sized chunks of runs:
 
     qbc     score(n) = var_b f_b(x_n)
     emcm    score(n) = mean_b |f_t(x_n) - f_b(x_n)| * ||x_n||
@@ -31,13 +33,13 @@ emcm is the expected model change of Cai, Zhang & Zhou (ICDM 2013), with
 the bootstrap predictions standing in for the unknown label. `random`
 draws uniformly from the unlabeled set.
 
-:func:`select_next` is the only entry point; it applies the shared phase
-logic: the first pick is the sample closest to the feature centroid (greedy
-kinds) or a random draw (random/qbc/emcm); picks before the k0 threshold
-use input-space greedy sampling or random draws respectively (qbc and emcm
-also draw at random until two labels exist, which a bootstrap needs); from
-then on each rule applies its own criterion. Ties always break toward the
-smallest pool index.
+:func:`select_next` picks for one run (the query loop takes the committee
+phase of all its runs in one pass) by the shared phase logic: the first pick
+is the sample closest to the feature centroid (greedy kinds) or a random
+draw (random/qbc/emcm); picks before the k0 threshold use input-space greedy
+sampling or random draws (qbc and emcm also draw at random until two labels
+exist, which a bootstrap needs); from then on each rule applies its own
+criterion. Ties always break toward the smallest pool index.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ class PoolState:
     solver that fitted them, the labeled samples' input distances and a
     seeded random stream (random/qbc/emcm). `k0`, the labeled count before
     model-based selection, is the pool's feature count. `add` drops the
-    models, so a model-based pick needs `fit_models` after every label.
-    Confined to a single run; advance it sequentially.
+    models, so a model-based pick needs `fit_models` after every label (the
+    lockstep query loop sets `models` and `solver` itself). Confined to a
+    single run; advance it sequentially.
     """
 
     def __init__(self, pool: Dataset, rng=0):
@@ -234,21 +237,44 @@ def _bootstrap_indices(rng: np.random.Generator, k: int) -> np.ndarray:
             return idx
 
 
-def _committee_scores(state: PoolState, unlabeled: np.ndarray, spec: StrategySpec, task: int) -> np.ndarray:
-    """The qbc or emcm score of each candidate, as in the module docstring.
+_COMMITTEE_BLOCK = 1 << 17  # elements of one chunk of runs' bootstrap designs (runs x B x k x d), about 1 MB
 
-    Committee members are bootstrap refits under the run's solver, `state.solver`.
-    """
-    models = state._require_models()
-    X = state.pool.features[state.labeled]
-    y = state.pool.labels[state.labeled, task]
-    candidates = state.pool.features[unlabeled]
-    idx = np.array([_bootstrap_indices(state.rng, state.n_labeled) for _ in range(spec.committee_size)])
-    boot = predict(fit(X[idx], y[idx], state.solver), candidates)
-    if spec.kind == "qbc":
-        return boot.var(axis=0)
-    mean_gap = np.abs(predict(models[task], candidates)[None, :] - boot).mean(axis=0)
-    return mean_gap * np.linalg.norm(candidates, axis=1)
+
+def _committee_phase(state: PoolState, spec: StrategySpec) -> bool:
+    """Whether a qbc or emcm pick comes from its committee: from max(k0, 2) labels on, as a bootstrap needs two."""
+    return spec.kind in ("qbc", "emcm") and state.n_labeled >= max(state.k0, 2)
+
+
+def _committee_scores(states, unlabeled, spec: StrategySpec, task: int) -> np.ndarray:
+    """The (runs, candidates) qbc or emcm scores of runs sharing labeled and candidate counts and a solver.
+
+    Each run draws its resamples from its own stream, in member order, and scores as its own (B, k, d) member
+    fit would, bit for bit; one `fit` and one `predict` cover a chunk of runs (`_COMMITTEE_BLOCK`)."""
+    models = [state._require_models()[task] for state in states]
+    main = LinearModel(np.stack([m.coefficients for m in models]), np.stack([m.intercept for m in models]))
+    k, d, size = states[0].n_labeled, states[0].pool.n_features, spec.committee_size
+    step, scores = max(1, _COMMITTEE_BLOCK // (size * k * d)), []
+    for i in range(0, len(states), step):
+        chunk = states[i:i + step]
+        rows = [np.asarray(s.labeled)[np.array([_bootstrap_indices(s.rng, k) for _ in range(size)])] for s in chunk]
+        X = np.concatenate([s.pool.features[r] for s, r in zip(chunk, rows)])
+        members = fit(X, np.concatenate([s.pool.labels[r, task] for s, r in zip(chunk, rows)]), chunk[0].solver)
+        candidates = np.stack([s.pool.features[u] for s, u in zip(chunk, unlabeled[i:i + step])])
+        boot = predict(LinearModel(members.coefficients.reshape(len(chunk), size, d),
+                                   members.intercept.reshape(len(chunk), size)), candidates[:, None])
+        if spec.kind == "qbc":
+            scores.append(boot.var(axis=1))
+        else:
+            mean_gap = np.abs(predict(main[i:i + step], candidates)[:, None] - boot).mean(axis=1)
+            scores.append(mean_gap * np.linalg.norm(candidates, axis=-1))
+    return np.concatenate(scores)
+
+
+def _committee_picks(states, spec: StrategySpec) -> list[int]:
+    """One pick per run from one committee pass over all runs, which share their pool shape and labeled count."""
+    task = _resolve_focus_task(spec, states[0].pool.n_tasks)
+    unlabeled = [state.unlabeled_indices() for state in states]
+    return [int(u[np.argmax(s)]) for u, s in zip(unlabeled, _committee_scores(states, unlabeled, spec, task))]
 
 
 def _resolve_focus_task(spec: StrategySpec, n_tasks: int) -> int:
@@ -281,8 +307,8 @@ def select_next(state: PoolState, spec: StrategySpec) -> int:
         else:
             use_input, tasks = spec.kind == "igs", (_resolve_focus_task(spec, state.pool.n_tasks),)
         scores = _greedy_scores(state, unlabeled, use_input, tasks)
-    elif spec.kind == "random" or k < max(state.k0, 2):  # a bootstrap needs two labels
-        return int(unlabeled[state.rng.integers(unlabeled.size)])
+    elif _committee_phase(state, spec):
+        return _committee_picks([state], spec)[0]
     else:
-        scores = _committee_scores(state, unlabeled, spec, _resolve_focus_task(spec, state.pool.n_tasks))
+        return int(unlabeled[state.rng.integers(unlabeled.size)])
     return int(unlabeled[np.argmax(scores)])

@@ -508,6 +508,26 @@ class TestPredict:
         for i in np.ndindex(lead):
             assert np.array_equal(out[i], X @ coefs[i] + intercepts[i])
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        runs=st.integers(1, 5),
+        members=st.integers(1, 8),
+        shape=st.tuples(st.integers(1, 60), st.integers(1, 12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_axis_features_equal_one_call_per_run(self, runs, members, shape, seed):
+        n, d = shape
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((runs, n, d))
+        model = LinearModel(rng.standard_normal((runs, members, d)), rng.standard_normal((runs, members)))
+        out = predict(model, X[:, None])
+        assert out.shape == (runs, members, n)
+        for r in range(runs):
+            assert np.array_equal(out[r], predict(model[r], X[r]))
+        with pytest.raises(ValueError, match=f"model expects {d} features, got {d + 1}"):
+            predict(model, np.ones((runs, 1, n, d + 1)))
+        with pytest.raises(ValueError, match=r"features must be \(\.\.\., n, d\)"):
+            predict(model, np.ones(d))
 
     def test_converged_is_keyword_only(self):
         # a third positional argument (the solver a model once carried) must not bind to nonconverged

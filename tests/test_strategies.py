@@ -14,12 +14,13 @@ from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_
 
 from alr import strategies
 from alr.harness import selection_sequence
-from alr.regression import SolverConfig, fit
+from alr.regression import SolverConfig, fit, parse_solver, resolve_lambda
 from alr.strategies import (
     SINGLE_TASK_KINDS,
     STRATEGY_KINDS,
     PoolState,
     StrategySpec,
+    _committee_picks,
     _committee_scores,
     _greedy_scores,
     parse_strategy,
@@ -509,7 +510,7 @@ class TestCommitteeStack:
             state.fit_models(solver)
             rng = copy.deepcopy(state.rng)
             unlabeled = state.unlabeled_indices()
-            scores = _committee_scores(state, unlabeled, spec, 0)
+            scores = _committee_scores([state], [unlabeled], spec, 0)[0]
             X, y = state.pool.features[state.labeled], state.pool.labels[state.labeled, 0]
             candidates = state.pool.features[unlabeled]
             boot = []
@@ -527,6 +528,61 @@ class TestCommitteeStack:
                 reference = gap * np.linalg.norm(candidates, axis=1)
             assert np.array_equal(scores, reference)
             assert rng.bit_generator.state == state.rng.bit_generator.state
+
+
+def _committee_runs(runs, seed, solver, n=14, d=2, p=2):
+    """`runs` states on pools of one shape, each with its own samples, k labels (the same k) and models."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(max(d, 2), n))
+    states = []
+    for r in range(runs):
+        state = PoolState(make_pool(rng.standard_normal((n, d)), rng.standard_normal((n, p))), rng=seed + r)
+        for index in rng.permutation(n)[:k]:
+            state.add(index)
+        state.fit_models(solver)
+        states.append(state)
+    return states
+
+
+class TestCommitteeBatch:
+    """One committee pass over R runs equals R single-run passes, bit for bit and draw for draw."""
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    @pytest.mark.parametrize("block", ["default", "one run"])
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        runs=st.integers(1, 5),
+        kind=st.sampled_from(("qbc", "emcm")),
+        size=st.integers(2, 8),
+        solver=st.sampled_from(("ols", "ridge:lambda=10/k", "ridge:lambda=10/kmax", "lasso:max_iters=1",
+                                "elastic_net")),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_run_equals_its_own_committee(self, block, runs, kind, size, solver, seed):
+        spec = StrategySpec(kind, focus_task=1, committee_size=size)
+        states = _committee_runs(runs, seed, resolve_lambda(parse_solver(solver), budget=14))
+        scored, alone_scored, alone_picked = (copy.deepcopy(states) for _ in range(3))
+        unlabeled = [state.unlabeled_indices() for state in states]
+        chunk = strategies._COMMITTEE_BLOCK if block == "default" else 1
+        with mock.patch.object(strategies, "_COMMITTEE_BLOCK", chunk):
+            scores = _committee_scores(scored, unlabeled, spec, 1)
+            picks = _committee_picks(states, spec)
+        assert scores.shape == (runs, unlabeled[0].size)
+        for r in range(runs):
+            assert np.array_equal(scores[r], _committee_scores([alone_scored[r]], [unlabeled[r]], spec, 1)[0])
+            assert picks[r] == select_next(alone_picked[r], spec)
+            assert scored[r].rng.bit_generator.state == alone_scored[r].rng.bit_generator.state
+            assert states[r].rng.bit_generator.state == alone_picked[r].rng.bit_generator.state
+
+    def test_a_run_with_stale_models_fails_the_batch(self):
+        fresh, stale = _committee_runs(2, 0, RIDGE)
+        for state in (fresh, stale):
+            state.add(state.unlabeled_indices()[0])  # drops the run's models
+        fresh.fit_models(RIDGE)
+        draws = fresh.rng.bit_generator.state
+        with pytest.raises(ValueError, match="no fitted models"):
+            _committee_picks([fresh, stale], StrategySpec("qbc", focus_task=0))
+        assert fresh.rng.bit_generator.state == draws
 
 
 class TestSelectNext:
