@@ -36,9 +36,12 @@ _DEFAULT_ALPHAS = "1,2,3,5,10"
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return [kind(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of {kind.__name__} values, got '{text}'") from None
+    if not values:
+        raise ValueError(f"{flag} expects at least one value")
+    return values
 
 
 def _require_directory(flag: str, path) -> None:

@@ -6,18 +6,16 @@ configured strategy, refit all per-task models after every query, and score
 them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
-A run is queried, then scored: the query loop returns the final selection and
-a (K's, tasks) model stack, and `run_single` scores the finished run in one
-pass, one `predict` and one call per metric per block of K's (`label_std` on
-the selected labels padded with NaN past each K), each score bit for bit that
-K's alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels.
-`run_experiment` stacks each metric over runs and aggregates it in one
-`_aggregate` call into the curve's (mean, std, n_runs) arrays, each entry bit
-for bit the reduction of its runs alone; the writers format rows from them.
-
-Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``: at each K every
-run selects and labels its sample, in run order (a committee phase scores all runs in one pass,
-each run drawing its own resamples, in run order), then one `fit` covers every run.
+The query loop fits every model of a run: its full-pool reference, before the first query, and a
+(K's, tasks) model stack. Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``:
+at each K every run selects and labels its sample, in run order (a committee phase scores all runs in
+one pass, each run drawing its own resamples, in run order), then one `fit` covers every run.
+`run_single` only scores the finished run: one `predict` and one call per metric per block of K's
+(`label_std` on the selected labels padded with NaN past each K), each score bit for bit that K's
+alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels, and the stacked pools of one
+reference fit. `run_experiment` stacks each metric over runs and aggregates it in one `_aggregate`
+call into the curve's (mean, std, n_runs) arrays, each entry bit for bit the reduction of its runs
+alone; the writers format rows from them.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ CURVE_CSV_HEADER = ("strategy", "solver", "task", "K", "metric", "mean", "std", 
 
 _METRIC_ORDER = ("rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc", "group_fraction")
 
-# a block of K's scored in one pass: about 0.5 MB per prediction or padded-label array
+# numbers per block of K's scored at once (0.5 MB per prediction or padded-label array), or of pools fitted at once
 _SCORE_BLOCK = 1 << 16
 
 
@@ -126,18 +124,21 @@ def _check_split(pool: Dataset, test: Dataset, cfg: ExperimentConfig) -> None:
     """Reject a split the run could not score, before any query."""
     if pool.n_features != test.n_features or pool.n_tasks != test.n_tasks:
         raise ValueError("pool and test must share feature and task dimensions")
+    if test.n_samples < 2:
+        raise ValueError(f"test set of {test.n_samples} samples cannot be scored (correlation needs at least 2); "
+                         f"lower train_fraction={cfg.train_fraction}")
     if cfg.group_value is not None and pool.group is None:
         raise ValueError("group_value set but the pool has no group column")
 
 
 def _queries(
     pools, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seeds
-) -> list[tuple[PoolState, LinearModel]]:
-    """The query loop of R runs in lockstep on pools of one shape: each step labels one sample per
-    run, in run order and from the run's own stream (seeds[r]), and from k0 on one `fit` refits every
-    task of every run on the rows kept in (R, k_max, d) and (R, k_max, P) buffers. Returns each run's
-    final state and its task models at K = k0..k_max, one stack. A budget-scaled lambda is resolved
-    against k_max before the first fit, so state.solver holds the solver every fit of the run used."""
+) -> list[tuple[PoolState, LinearModel, LinearModel]]:
+    """The query loop of R runs in lockstep on pools of one shape, and the one place that fits their models.
+    A budget-scaled lambda is resolved against k_max; then, before the first query, `fit` on the stacked pools
+    gives every run's full-pool reference. Each step labels one sample per run, in run order and from its own
+    stream (seeds[r]), and from k0 on one `fit` refits all tasks of all runs on the rows kept in (R, k_max, d) and
+    (R, k_max, P) buffers. Returns each run's final state, its K = k0..k_max models as a stack, and its reference."""
     states = [PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
               for pool, seed in zip(pools, seeds)]
     (n, d), n_tasks, k0 = pools[0].features.shape, pools[0].n_tasks, states[0].k0
@@ -147,6 +148,13 @@ def _queries(
     if not k0 <= k_max <= n:
         raise ValueError(f"k_max must lie in [k0={k0}, pool size={n}], got {k_max}")
     solver = resolve_lambda(solver, budget=k_max)
+    # in chunks: a larger array freed here would raise the allocator's mmap threshold, and the loop's peak RSS
+    step, references = max(1, _SCORE_BLOCK // (n * d)), []
+    for chunk in (pools[i:i + step] for i in range(0, len(pools), step)):
+        fitted = fit(np.stack([pool.features for pool in chunk]), np.stack([pool.labels for pool in chunk]), solver)
+        references += (fitted[r] for r in range(len(chunk)))
+    for state in states:
+        state.solver = solver
     features, labels = np.empty((len(states), k_max, d)), np.empty((len(states), k_max, n_tasks))
     coefs = np.empty((len(states), k_max - k0 + 1, n_tasks, d))
     intercepts, nonconverged = np.empty(coefs.shape[:3]), np.empty(coefs.shape[:3], dtype=bool)
@@ -161,33 +169,26 @@ def _queries(
             coefs[:, k - k0], intercepts[:, k - k0], nonconverged[:, k - k0] = (
                 fitted.coefficients, fitted.intercept, fitted.nonconverged)
             for r, state in enumerate(states):
-                state.models, state.solver = fitted[r], solver
+                state.models = fitted[r]
     models = LinearModel(coefs, intercepts, nonconverged=nonconverged)
-    return [(state, models[r]) for r, state in enumerate(states)]
+    return [(state, models[r], references[r]) for r, state in enumerate(states)]
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None, *,
-               queried: tuple[PoolState, LinearModel] | None = None) -> RunResult:
-    """Run one active-learning pass over a fixed pool/test split.
+               queried: tuple[PoolState, LinearModel, LinearModel] | None = None) -> RunResult:
+    """Score one active-learning run over a fixed pool/test split; it fits nothing itself.
 
-    Queries one sample per iteration until the pool is exhausted or
-    cfg.k_max is reached, refitting all per-task models from scratch after
-    every query (single-task strategies still fit every task for
-    evaluation): the one-run case of the lockstep loop. The finished run is
-    then scored: a MetricRecord for each K >= k0, counting the task models
-    that did not converge, with test scores computed in blocks of K's and
-    coefficient MAE measured against the full-pool reference model.
+    `queried` is the run's (state, models, reference) from the query loop; without it the run is queried here, as
+    the one-run case of the lockstep loop, from cfg.seed or `seed`. Each K >= k0 gets a MetricRecord, counting the
+    task models that did not converge, with test scores in blocks of K's and coefficient MAE against the reference.
     """
     if queried is None:  # run_experiment queries its runs in lockstep and passes each run's outcome
         _check_split(pool, test, cfg)
         queried = _queries([pool], cfg.strategy, cfg.solver, cfg.k_max, [cfg.seed if seed is None else seed])[0]
-    state, models = queried
-
-    reference = fit(pool.features, pool.labels, state.solver)
+    state, models, reference = queried
     bl2_rmse, bl2_cc = _block_scores(reference, test)
 
-    coefs = models.coefficients
-    mae_k = coefficient_mae(coefs, np.broadcast_to(reference.coefficients, coefs.shape))
+    mae_k = coefficient_mae(models.coefficients, np.broadcast_to(reference.coefficients, models.coefficients.shape))
     ks = np.arange(state.k0, state.n_labeled + 1)
     labels = pool.labels[state.labeled].T
     block = max(1, _SCORE_BLOCK // (pool.n_tasks * max(test.n_samples, state.n_labeled)))

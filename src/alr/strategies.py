@@ -123,10 +123,9 @@ class PoolState:
     task models (one :class:`LinearModel` stack, row t for task t) and the
     solver that fitted them, the labeled samples' input distances and a
     seeded random stream (random/qbc/emcm). `k0`, the labeled count before
-    model-based selection, is the pool's feature count. `add` drops the
-    models, so a model-based pick needs `fit_models` after every label (the
-    lockstep query loop sets `models` and `solver` itself). Confined to a
-    single run; advance it sequentially.
+    model-based selection, is the pool's feature count. The query loop sets
+    `solver` once and, from k0 on, `models` after every label; `add` drops
+    the models, so no pick reads stale ones. Confined to a single run.
     """
 
     def __init__(self, pool: Dataset, rng=0):
@@ -161,17 +160,6 @@ class PoolState:
         self._is_labeled[index] = True
         self.models = None
 
-    def fit_models(self, solver: SolverConfig) -> None:
-        """Refit all per-task models from scratch on the current labeled set, and keep `solver`."""
-        if self.n_labeled < self.k0:
-            raise ValueError(
-                f"need at least k0={self.k0} labeled samples to fit models, "
-                f"have {self.n_labeled}"
-            )
-        rows = self.labeled
-        self.models = fit(self.pool.features[rows], self.pool.labels[rows], solver)
-        self.solver = solver
-
     def _labeled_distances(self) -> np.ndarray:
         """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K.
         Each new row is folded into `_nearest`, every pool sample's distance to its nearest labeled
@@ -194,7 +182,7 @@ class PoolState:
 
     def _require_models(self) -> LinearModel:
         if self.models is None:
-            raise ValueError("no fitted models, or models stale since the last label; call fit_models()")
+            raise ValueError("no fitted models, or models stale since the last label")
         return self.models
 
 

@@ -39,8 +39,16 @@ def random_greedy_instance(seed, max_n=20, max_d=3, max_p=3):
     state = PoolState(pool, rng=seed)
     for idx in labeled:
         state.add(idx)
-    state.fit_models(SolverConfig("ridge", lam=1.0))
+    fit_state(state, SolverConfig("ridge", lam=1.0))
     return state, rng
+
+
+def fit_state(state, solver):
+    """Fit every task model on the state's labeled rows under `solver`, as the query loop does at
+    each K from k0 on, and keep `solver` for the committee refits."""
+    rows = state.labeled
+    state.models = fit(state.pool.features[rows], state.pool.labels[rows], solver)
+    state.solver = solver
 
 
 def set_models(state, coefficients, intercepts=0.0):

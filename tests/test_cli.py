@@ -258,6 +258,18 @@ class TestRunErrors:
         assert "pool of 1 samples is smaller than k0=3 (one label per feature)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_sample_test_set_exits_1_naming_the_train_fraction(self, tmp_path, synth_csv, capsys):
+        # 99% of 60 rows leaves a pool of 59 samples and a test set of 1
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random", "--runs", "2",
+             "--train-fraction", "0.99", "--out", str(out)]
+        )
+        assert code == 1
+        assert ("error: test set of 1 samples cannot be scored (correlation needs at least 2); "
+                "lower train_fraction=0.99") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file_exits_1(self, tmp_path, capsys):
         code = main(
             ["run", "--data", str(tmp_path / "nope.csv"), "--tasks", "3",
@@ -456,6 +468,16 @@ class TestCompare:
         assert code == 1
         assert "75" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks", ["", ",", " , "])
+    def test_empty_k_list_exits_1(self, tmp_path, capsys, ks):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        out = tmp_path / "table.csv"
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(baseline), "--k", ks, "--out", str(out)])
+        assert code == 1
+        assert "error: --k expects at least one value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_row_cites_file_and_line(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"
         _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
@@ -592,6 +614,19 @@ class TestSavedQueries:
         )
         assert code == 1
         assert f"error: alpha must be finite, got {alpha}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alphas", ["", ",", " , "])
+    def test_empty_alpha_list_exits_1(self, tmp_path, capsys, alphas):
+        reference = tmp_path / "ref.csv"
+        _write_curve_csv(reference, "random", {"rmse": {5: 0.21, 6: 0.201}}, {"bl2_rmse": 0.2})
+        out = tmp_path / "saved.csv"
+        code = main(
+            ["saved-queries", "--curves", str(reference), "--reference", str(reference),
+             "--alpha", alphas, "--out", str(out)]
+        )
+        assert code == 1
+        assert "error: --alpha expects at least one value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reference_missing_full_pool_row_exits_1(self, tmp_path, capsys):
         reference = tmp_path / "ref.csv"

@@ -367,6 +367,64 @@ class TestLockstep:
         _, test = _split_synthetic(d=4)
         with pytest.raises(ValueError, match="share"):
             run_single(pool, test, _cfg(), seed=0)
+        # 99% of 60 rows leaves a test set of 1 sample, on which no correlation is defined
+        message = r"test set of 1 samples cannot be scored .*train_fraction=0\.99"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(gen_synthetic(60, 3, 2, 0.1, seed=0), _cfg(train_fraction=0.99, runs=3))
+        with pytest.raises(ValueError, match=message):
+            run_single(*_split_synthetic(n=60, fraction=0.99), _cfg(train_fraction=0.99), seed=0)
+
+
+class TestQueryLoopFits:
+    """The query loop makes every fit of an experiment, and run_single handed its outcome makes none."""
+
+    @staticmethod
+    def _count_fits(monkeypatch) -> list:
+        calls = []
+
+        def counting_fit(features, *args, **kwargs):
+            calls.append(np.shape(features))
+            return fit(features, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", counting_fit)
+        return calls
+
+    @pytest.mark.parametrize("kind", ("random", "mt_igs"))
+    @pytest.mark.parametrize("runs", (1, 3))
+    def test_one_fit_per_k_and_one_for_every_reference(self, monkeypatch, kind, runs):
+        data = gen_synthetic(40, 3, 2, 0.1, seed=1)
+        calls = self._count_fits(monkeypatch)
+        run_experiment(data, _cfg(strategy=kind, runs=runs, k_max=8))
+        n_pool = round(40 * 0.3)
+        # the references first, from the whole pools, then K = k0..k_max on every run's labeled rows
+        assert calls == [(runs, n_pool, 3)] + [(runs, k, 3) for k in range(3, 9)]
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    @pytest.mark.parametrize("solver", (RIDGE_10_KMAX, parse_solver("lasso:lambda=0.01,max_iters=1")))
+    def test_references_in_chunks_of_runs_each_equal_its_own_fit(self, monkeypatch, solver):
+        cfg = _cfg(runs=5, k_max=6, solver=solver)
+        pools = [pool for pool, _, _ in harness._run_splits(gen_synthetic(40, 3, 2, 0.1, seed=1), cfg)]
+        n_pool = len(pools[0].labels)
+        monkeypatch.setattr(harness, "_SCORE_BLOCK", 2 * n_pool * 3)  # two runs' pools per reference fit
+        calls = self._count_fits(monkeypatch)
+        queried = harness._queries(pools, cfg.strategy, solver, cfg.k_max, range(5))
+        assert calls[:4] == [(2, n_pool, 3), (2, n_pool, 3), (1, n_pool, 3), (5, 3, 3)]
+        budget_solver = harness.resolve_lambda(solver, budget=cfg.k_max)
+        for pool, (state, _, reference) in zip(pools, queried):
+            alone = fit(pool.features, pool.labels, budget_solver)
+            assert state.solver == budget_solver
+            for name in ("coefficients", "intercept", "nonconverged"):
+                assert np.array_equal(getattr(reference, name), getattr(alone, name)), name
+
+    def test_run_single_handed_its_queries_fits_nothing(self, monkeypatch):
+        pool, test = _split_synthetic()
+        cfg = _cfg(k_max=8)
+        expected = run_single(pool, test, cfg, seed=5)
+        queried = harness._queries([pool], cfg.strategy, cfg.solver, cfg.k_max, [5])[0]
+        calls = self._count_fits(monkeypatch)
+        result = run_single(pool, test, cfg, queried=queried)
+        assert calls == []
+        _assert_same_run(result, expected)
 
 
 def _aggregate_reference(values) -> tuple[float, float, int]:

@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import bruteforce
-from helpers import make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance, set_models
+from helpers import fit_state, make_pool, make_state, oracle_models, pool_as_lists, random_greedy_instance, set_models
 
 from alr import strategies
 from alr.harness import selection_sequence
@@ -296,7 +296,7 @@ class TestOracleEquivalence:
 class TestQbc:
     def _degenerate_state(self):
         state = make_state([[2.0, 1.0]] * 5, [[3.0]] * 5, labeled=[0, 1])
-        state.fit_models(RIDGE)
+        fit_state(state, RIDGE)
         return state
 
     def test_identical_committee_falls_to_tie_rule(self):
@@ -317,7 +317,7 @@ class TestQbc:
         labels[:, 0] += 5.0
         clone = make_state(fresh.pool.features, labels, labeled=list(fresh.labeled))
         clone.rng = fresh.rng  # unconsumed stream at the same seed
-        clone.fit_models(SolverConfig("ridge", lam=1.0))
+        fit_state(clone, SolverConfig("ridge", lam=1.0))
         assert select_next(clone, StrategySpec("qbc", focus_task=0)) == baseline
 
     @pytest.mark.parametrize("kind", ["qbc", "emcm"])
@@ -325,21 +325,21 @@ class TestQbc:
         # at d = k0 = 1 a single label cannot be bootstrapped: the random phase lasts to K = 2
         state = make_state([[1.0], [2.0], [3.0], [4.0]], [[0.0], [1.0], [2.0], [3.0]], labeled=[0], seed=4)
         reference = make_state([[1.0], [2.0], [3.0], [4.0]], [[0.0]] * 4, labeled=[0], seed=4)
-        state.fit_models(RIDGE)
+        fit_state(state, RIDGE)
         assert select_next(state, StrategySpec(kind, focus_task=0)) == select_next(reference, StrategySpec("random"))
 
 
 class TestEmcm:
     def test_identical_committee_falls_to_tie_rule(self):
         state = make_state([[2.0, 1.0]] * 5, [[3.0]] * 5, labeled=[0, 1])
-        state.fit_models(RIDGE)
+        fit_state(state, RIDGE)
         assert select_next(state, StrategySpec("emcm", focus_task=0)) == 2
 
     def test_zero_feature_vector_scores_zero(self):
         state = make_state(
             [[1.0], [-1.0], [0.0], [0.0]], [[1.0], [-1.0], [0.0], [0.0]], labeled=[0, 1]
         )
-        state.fit_models(RIDGE)
+        fit_state(state, RIDGE)
         assert select_next(state, StrategySpec("emcm", focus_task=0)) == 2
 
     def test_label_scaling_preserves_argmax(self):
@@ -350,7 +350,7 @@ class TestEmcm:
         labels[:, 0] *= 2.0
         clone = make_state(fresh.pool.features, labels, labeled=list(fresh.labeled))
         clone.rng = fresh.rng
-        clone.fit_models(SolverConfig("ridge", lam=1.0))
+        fit_state(clone, SolverConfig("ridge", lam=1.0))
         assert select_next(clone, StrategySpec("emcm", focus_task=0)) == baseline
 
 
@@ -428,7 +428,7 @@ class TestDistanceLedger:
             while state.n_labeled < d + 6:
                 phase_tasks = tasks if state.n_labeled >= state.k0 else ()
                 if phase_tasks:
-                    state.fit_models(RIDGE)
+                    fit_state(state, RIDGE)
                 unlabeled = state.unlabeled_indices()
                 pick = select_next(state, spec)
                 reference = _cdist_greedy_scores(state, unlabeled, True, phase_tasks)
@@ -483,7 +483,7 @@ class TestGreedyBlocks:
         while state.n_labeled < d + 6:
             use_input, tasks = criterion if state.n_labeled >= state.k0 else (True, ())
             if tasks:
-                state.fit_models(solver)
+                fit_state(state, solver)
             unlabeled = state.unlabeled_indices()
             with mock.patch.object(strategies, "_GREEDY_BLOCK", self.BUDGETS[budget](unlabeled.size)):
                 scores = _greedy_scores(state, unlabeled, use_input, tasks)
@@ -507,7 +507,7 @@ class TestCommitteeStack:
         spec = StrategySpec(kind, focus_task=0, committee_size=5)
         for seed in range(8):
             state, _ = random_greedy_instance(seed, max_n=30, max_d=4)
-            state.fit_models(solver)
+            fit_state(state, solver)
             rng = copy.deepcopy(state.rng)
             unlabeled = state.unlabeled_indices()
             scores = _committee_scores([state], [unlabeled], spec, 0)[0]
@@ -539,7 +539,7 @@ def _committee_runs(runs, seed, solver, n=14, d=2, p=2):
         state = PoolState(make_pool(rng.standard_normal((n, d)), rng.standard_normal((n, p))), rng=seed + r)
         for index in rng.permutation(n)[:k]:
             state.add(index)
-        state.fit_models(solver)
+        fit_state(state, solver)
         states.append(state)
     return states
 
@@ -578,7 +578,7 @@ class TestCommitteeBatch:
         fresh, stale = _committee_runs(2, 0, RIDGE)
         for state in (fresh, stale):
             state.add(state.unlabeled_indices()[0])  # drops the run's models
-        fresh.fit_models(RIDGE)
+        fit_state(fresh, RIDGE)
         draws = fresh.rng.bit_generator.state
         with pytest.raises(ValueError, match="no fitted models"):
             _committee_picks([fresh, stale], StrategySpec("qbc", focus_task=0))
@@ -663,7 +663,7 @@ class TestSelectNext:
     def test_single_task_kind_needs_focus_on_multitask_data(self):
         rng = np.random.default_rng(4)
         state = make_state(rng.standard_normal((6, 1)), rng.standard_normal((6, 2)), labeled=[0])
-        state.fit_models(RIDGE)
+        fit_state(state, RIDGE)
         with pytest.raises(ValueError, match="focus task"):
             select_next(state, StrategySpec("gsy"))
 
@@ -690,11 +690,6 @@ class TestPoolStateInvariants:
         state = make_state([[0.0], [1.0]], [[0.0]] * 2)
         with pytest.raises(ValueError):
             state.add(5)
-
-    def test_fit_models_needs_k0(self):
-        state = make_state([[0.0, 1.0], [1.0, 2.0], [3.0, 4.0]], [[0.0]] * 3, labeled=[0])
-        with pytest.raises(ValueError, match="k0"):
-            state.fit_models(RIDGE)
 
     def test_default_k0_is_feature_count(self):
         state = make_state(np.zeros((5, 3)), np.zeros((5, 1)))
