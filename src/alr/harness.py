@@ -6,8 +6,9 @@ configured strategy, refit all per-task models after every query, and score
 them on the test set. Per-run results are aggregated into a
 :class:`LearningCurve` of per-K means and standard deviations.
 
-The query loop fits every model of a run: its full-pool reference, before the first query, and a
-(K's, tasks) model stack. Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``:
+The query loop fits every model of a run (its full-pool reference, before the first query, and a
+(K's, tasks) model stack) and returns them with the run's selection; no run's ledger outlives the
+loop. Runs advance in lockstep, each from its own stream seeded ``seed ^ run_index``:
 at each K every run selects and labels its sample, in run order (a committee phase scores all runs in
 one pass, each run drawing its own resamples, in run order), then one `fit` covers every run.
 `run_single` only scores the finished run: one `predict` and one call per metric per block of K's
@@ -33,7 +34,8 @@ import numpy as np
 from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
 from .metrics import _defined_stats, label_std, pearson_cc, rmse
 from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
-from .strategies import PoolState, StrategySpec, _committee_phase, _committee_picks, select_next, strategy_to_string
+from .strategies import (SINGLE_TASK_KINDS, PoolState, StrategySpec, _committee_phase, _committee_picks,
+                         _resolve_focus_task, select_next, strategy_to_string)
 
 __all__ = [
     "ExperimentConfig",
@@ -133,12 +135,13 @@ def _check_split(pool: Dataset, test: Dataset, cfg: ExperimentConfig) -> None:
 
 def _queries(
     pools, strategy: StrategySpec, solver: SolverConfig, k_max: int | None, seeds
-) -> list[tuple[PoolState, LinearModel, LinearModel]]:
+) -> list[tuple[np.ndarray, LinearModel, LinearModel]]:
     """The query loop of R runs in lockstep on pools of one shape, and the one place that fits their models.
-    A budget-scaled lambda is resolved against k_max; then, before the first query, `fit` on the stacked pools
-    gives every run's full-pool reference. Each step labels one sample per run, in run order and from its own
-    stream (seeds[r]), and from k0 on one `fit` refits all tasks of all runs on the rows kept in (R, k_max, d) and
-    (R, k_max, P) buffers. Returns each run's final state, its K = k0..k_max models as a stack, and its reference."""
+    It checks k_max and a single-task kind's focus task and resolves a budget-scaled lambda against k_max; then,
+    before the first query, `fit` on the stacked pools gives every run's full-pool reference. Each step labels one
+    sample per run, in run order and from its own stream (seeds[r]), and from k0 on one `fit` refits all tasks of
+    all runs on the rows kept in (R, k_max, d) and (R, k_max, P) buffers. Returns each run's selection (k_max pool
+    indices in query order), K = k0..k_max models as a stack, and reference; no run's ledger outlives the loop."""
     states = [PoolState(pool, rng=np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
               for pool, seed in zip(pools, seeds)]
     (n, d), n_tasks, k0 = pools[0].features.shape, pools[0].n_tasks, states[0].k0
@@ -147,6 +150,8 @@ def _queries(
     k_max = n if k_max is None else k_max
     if not k0 <= k_max <= n:
         raise ValueError(f"k_max must lie in [k0={k0}, pool size={n}], got {k_max}")
+    if strategy.kind in SINGLE_TASK_KINDS:
+        _resolve_focus_task(strategy, n_tasks)
     solver = resolve_lambda(solver, budget=k_max)
     # in chunks: a larger array freed here would raise the allocator's mmap threshold, and the loop's peak RSS
     step, references = max(1, _SCORE_BLOCK // (n * d)), []
@@ -171,39 +176,39 @@ def _queries(
             for r, state in enumerate(states):
                 state.models = fitted[r]
     models = LinearModel(coefs, intercepts, nonconverged=nonconverged)
-    return [(state, models[r], references[r]) for r, state in enumerate(states)]
+    return [(np.array(state.labeled), models[r], references[r]) for r, state in enumerate(states)]
 
 
 def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | None = None, *,
-               queried: tuple[PoolState, LinearModel, LinearModel] | None = None) -> RunResult:
+               queried: tuple[np.ndarray, LinearModel, LinearModel] | None = None) -> RunResult:
     """Score one active-learning run over a fixed pool/test split; it fits nothing itself.
 
-    `queried` is the run's (state, models, reference) from the query loop; without it the run is queried here, as
-    the one-run case of the lockstep loop, from cfg.seed or `seed`. Each K >= k0 gets a MetricRecord, counting the
-    task models that did not converge, with test scores in blocks of K's and coefficient MAE against the reference.
+    `queried` is the run's (selection, models, reference) from the query loop; without it the run is queried here,
+    as the one-run case, from cfg.seed or `seed`. Each K >= k0 gets a MetricRecord, counting the task models that
+    did not converge, with test scores in blocks of K's and coefficient MAE against the reference.
     """
     if queried is None:  # run_experiment queries its runs in lockstep and passes each run's outcome
         _check_split(pool, test, cfg)
         queried = _queries([pool], cfg.strategy, cfg.solver, cfg.k_max, [cfg.seed if seed is None else seed])[0]
-    state, models, reference = queried
+    selection, models, reference = queried
     bl2_rmse, bl2_cc = _block_scores(reference, test)
 
     mae_k = coefficient_mae(models.coefficients, np.broadcast_to(reference.coefficients, models.coefficients.shape))
-    ks = np.arange(state.k0, state.n_labeled + 1)
-    labels = pool.labels[state.labeled].T
-    block = max(1, _SCORE_BLOCK // (pool.n_tasks * max(test.n_samples, state.n_labeled)))
+    ks = np.arange(pool.n_features, len(selection) + 1)
+    labels = pool.labels[selection].T
+    block = max(1, _SCORE_BLOCK // (pool.n_tasks * max(test.n_samples, len(selection))))
     blocks = [
         (*_block_scores(models[i:i + block], test),
-         label_std(np.where(np.arange(state.n_labeled) < ks[i:i + block, None, None], labels, np.nan)))
+         label_std(np.where(np.arange(len(selection)) < ks[i:i + block, None, None], labels, np.nan)))
         for i in range(0, len(ks), block)
     ]
     rmse_k, cc_k, std_k = (np.concatenate(scores) for scores in zip(*blocks))
     shares = [None] * len(ks)
     if cfg.group_value is not None:  # matches among the first k selected, over k
-        shares = (np.cumsum([pool.group[i] == cfg.group_value for i in state.labeled])[ks - 1] / ks).tolist()
+        shares = (np.cumsum(np.asarray(pool.group)[selection] == cfg.group_value)[ks - 1] / ks).tolist()
     nonconverged = models.nonconverged.sum(axis=-1).tolist()
     records = tuple(map(MetricRecord, ks.tolist(), rmse_k, cc_k, mae_k, std_k, shares, nonconverged))
-    return RunResult(records=records, selection=tuple(state.labeled), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
+    return RunResult(records=records, selection=tuple(selection.tolist()), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
 
 
 def selection_sequence(
@@ -214,7 +219,7 @@ def selection_sequence(
     seed: int = 0,
 ) -> list[int]:
     """The ordered query sequence a strategy produces on a fixed pool (run_single's loop)."""
-    return list(_queries([pool], strategy, solver, k_max, [seed])[0][0].labeled)
+    return _queries([pool], strategy, solver, k_max, [seed])[0][0].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,18 +282,16 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
     """Aggregate cfg.runs independent runs into a learning curve.
 
     The runs come from :func:`_run_splits` and are queried in lockstep. Each is then scored by its
-    own :func:`run_single` call, handed its queried state and models, so that the benchmark's
-    checks, which wrap `run_single`, still see every run. `threads` is accepted and ignored, but
-    must be >= 1.
+    own :func:`run_single` call, handed its selection and models, so that the benchmark's checks,
+    which wrap `run_single`, still see every run. `threads` is accepted and ignored, but must be >= 1.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     pools, tests, seeds = zip(*_run_splits(data, cfg))
     _check_split(pools[0], tests[0], cfg)  # the splits of one dataset share their shapes and group column
-    # popped in run order, so that each run's state is freed once it is scored
-    queried = _queries(pools, cfg.strategy, cfg.solver, cfg.k_max, seeds)[::-1]
-    results = [run_single(pool, test, cfg, seed, queried=queried.pop())
-               for pool, test, seed in zip(pools, tests, seeds)]
+    queried = _queries(pools, cfg.strategy, cfg.solver, cfg.k_max, seeds)
+    results = [run_single(pool, test, cfg, seed, queried=q)
+               for pool, test, seed, q in zip(pools, tests, seeds, queried)]
 
     ks = tuple(rec.k for rec in results[0].records)  # every run splits the same data alike
 

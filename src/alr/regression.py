@@ -17,13 +17,12 @@ the centred design is rank deficient. `tol` is the subgradient optimality
 guard: a fit is converged when the KKT residual is at most 10·tol.
 `max_iters` caps the path steps.
 
-:func:`fit` returns one :class:`LinearModel` stack per call. On (k, P) targets it centres X and
-forms XcᵀXc once for all P columns, and solves each column alone, so row p is bit for bit
-the fit to column p. (R, k, d) features with (R, k, P) targets add a leading run axis: R
-designs, each centred and solved on its own in the same stacked calls, so row (r, p) is bit
-for bit the fit to column p of run r's rows. A 2-D call is the one-run case, and (B, k)
-targets are the P = 1 case: B committee members. :func:`predict` is the one formula that
-evaluates a model or a stack.
+:func:`fit` follows one shape rule for any number of leading axes: (..., k, d) features with
+(..., k) targets give one model per design, and with (..., k, P) targets one per column, P per
+design. Leading axes may hold an experiment's runs, a committee's members, or both. Each design
+is centred and solved on its own in the same stacked calls, with XcᵀXc formed once for all of
+its columns, so every model is bit for bit the 2-D fit to its column of its design alone.
+:func:`predict` is the one formula that evaluates a model or a stack.
 """
 
 from __future__ import annotations
@@ -145,13 +144,13 @@ def resolve_lambda(cfg: SolverConfig, *, budget: int) -> SolverConfig:
 
 
 def fit(features, targets, cfg: SolverConfig) -> LinearModel:
-    """Fit a linear model to (k,) targets, or one per column of (k, P) targets, under `cfg`.
+    """Fit linear models under `cfg` by one shape rule, for any number of leading axes.
 
-    (R, k, d) features with (R, k, P) targets are R separate designs on a leading
-    run axis (the runs of an experiment, say); (B, k) targets are its P = 1 case
-    (a committee's bootstrap resamples). The model's coefficients are (d,), (P, d),
-    (R, P, d) or (B, d) and its intercepts (), (P,), (R, P) or (B,), each row bit
-    for bit the fit to its column of its design alone.
+    (..., k, d) features with (..., k) targets give one model per design: coefficients
+    (..., d) and intercepts (...). Targets (..., k, P) give P models per design, one per
+    column: coefficients (..., P, d) and intercepts (..., P). The leading axes may hold
+    an experiment's runs or a committee's bootstrap members; each model is bit for bit
+    the 2-D fit to its column of its design alone.
 
     The penalty applied is cfg.lam, or cfg.lam / k on k rows when
     cfg.lambda_over_k is "labeled". Centering handles the intercept, so the
@@ -162,24 +161,12 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
     """
     X = np.asarray(features, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    if X.ndim == 3:
-        if Y.ndim not in (2, 3) or len(Y) != len(X):
-            raise ValueError(f"features of shape {X.shape} need targets of shape ({len(X)}, k) "
-                             f"or ({len(X)}, k, P), got {Y.shape}")
-        Yt, index = (Y[:, None, :], (slice(None), 0)) if Y.ndim == 2 else (Y.swapaxes(1, 2), ())
-    elif X.ndim != 2:
-        raise ValueError(f"features must be 2-D, or 3-D with a leading run axis, got shape {X.shape}")
-    elif Y.ndim not in (1, 2):
-        raise ValueError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
-    else:
-        X, Yt = X[None], (Y[:, None] if Y.ndim == 1 else Y).T[None]
-        index = (0, 0) if Y.ndim == 1 else 0
-    # X is (M, k, d) and Yt (M, P, k): M members (or runs) of P tasks each, one problem per (member, task)
-    n_members, k, d = X.shape
+    if X.ndim < 2 or Y.ndim > X.ndim or Y.shape[:X.ndim - 1] != X.shape[:-1]:
+        raise ValueError(f"features (..., k, d) need targets (..., k) or (..., k, P) on the same leading axes "
+                         f"and rows, got features {X.shape} and targets {Y.shape}")
+    *lead, k, d = X.shape
     if k < 1:
         raise ValueError("need at least one training row")
-    if Yt.shape[-1] != k:
-        raise ValueError(f"{Yt.shape[-1]} targets for {k} rows")
     if not np.isfinite(X).all() or not np.isfinite(Y).all():
         raise ValueError("training data must be finite")
     if cfg.lambda_over_k == "budget":
@@ -188,8 +175,11 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
         )
     lam = cfg.lam / k if cfg.lambda_over_k == "labeled" else cfg.lam
 
-    Yt = np.ascontiguousarray(Yt)  # each mean and product runs along a contiguous row
-    n_tasks = Yt.shape[1]
+    # X as (M, k, d) and Yt as (M, P, k): M designs of P target columns each, one problem per (design, column);
+    # each mean and product runs along a contiguous row
+    n_designs, n_tasks = math.prod(lead), Y.shape[-1] if Y.ndim == X.ndim else 1
+    X = X.reshape(n_designs, k, d)
+    Yt = np.ascontiguousarray(Y.reshape(n_designs, k, n_tasks).swapaxes(1, 2))
     y_means = Yt.mean(axis=2)
     x_mean = X.mean(axis=1)
     Xc = X - x_mean[:, None, :]
@@ -197,14 +187,14 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
 
     l1 = lam if cfg.kind in ("lasso", "elastic_net") else 0.0
     l2 = {"ridge": lam, "elastic_net": cfg.lam2}.get(cfg.kind, 0.0)
-    nonconverged = np.zeros((n_members, n_tasks), dtype=bool)
+    nonconverged = np.zeros((n_designs, n_tasks), dtype=bool)
     if l1 == 0.0 and l2 == 0.0:
         B = np.array([np.linalg.lstsq(xc, yc, rcond=None)[0] for xc, ycs in zip(Xc, Yc) for yc in ycs])
-        B = B.reshape(n_members, n_tasks, d)
+        B = B.reshape(n_designs, n_tasks, d)
     else:
         gram = Xc.swapaxes(1, 2) @ Xc  # both operands view one buffer, so each item is a syrk, as 2-D Xc.T @ Xc
         # one right-hand side per task: each rounds as Xc.T @ Yc[p] does, and a (d, P) one would not
-        corr = (Yc[:, :, None, :] @ Xc[:, None]).reshape(n_members, n_tasks, d, 1)
+        corr = (Yc[:, :, None, :] @ Xc[:, None]).reshape(n_designs, n_tasks, d, 1)
         if l1 == 0.0:
             try:
                 B = np.linalg.solve((gram + l2 * np.eye(d))[:, None], corr)[..., 0]
@@ -212,8 +202,8 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
                 raise ValueError(f"{solver_to_string(cfg)} met a singular system at largest |feature| "
                                  f"{np.abs(X).max():.3g}; rescale the features") from None
         else:
-            B = np.empty((n_members, n_tasks, d))
-            for m, p in np.ndindex(n_members, n_tasks):
+            B = np.empty((n_designs, n_tasks, d))
+            for m, p in np.ndindex(n_designs, n_tasks):
                 c = corr[m, p, :, 0]
                 B[m, p] = _lasso_path(gram[m], c, l1, l2, cfg.cd_max_iters)
                 violation = _kkt_violation(gram[m], c, B[m, p], l1, l2)
@@ -223,7 +213,8 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
                                   f"{cfg.cd_max_iters} steps", RuntimeWarning, stacklevel=2)
 
     intercepts = y_means - (B[:, :, None, :] @ x_mean[:, None, :, None])[..., 0, 0]
-    return LinearModel(B[index], intercepts[index], nonconverged=nonconverged[index])
+    shape = Y.shape[:len(lead)] + Y.shape[len(lead) + 1:]  # the targets' shape without the row axis
+    return LinearModel(B.reshape(*shape, d), intercepts.reshape(shape), nonconverged=nonconverged.reshape(shape))
 
 
 def _kkt_violation(gram: np.ndarray, corr: np.ndarray, beta: np.ndarray, l1: float, l2: float) -> float:

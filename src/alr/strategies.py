@@ -161,16 +161,16 @@ class PoolState:
         self.models = None
 
     def _labeled_distances(self) -> np.ndarray:
-        """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K.
-        Each new row is folded into `_nearest`, every pool sample's distance to its nearest labeled
-        sample (`min` is exact, so the order does not matter).
+        """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K and
+        capped at the pool size. Each new row is folded into `_nearest`, every pool sample's distance to
+        its nearest labeled sample (`min` is exact, so the order does not matter).
 
         Summing down the C-contiguous d x n copy adds each pair's squares feature by feature; a
         transposed view would sum them pairwise and change the last bits.
         """
-        k, done = self.n_labeled, self._n_distances
+        k, done, n = self.n_labeled, self._n_distances, self.pool.n_samples
         if k > self._distances.shape[0]:
-            grown = np.empty((max(k, 2 * self._distances.shape[0]), self.pool.n_samples))
+            grown = np.empty((min(max(k, 2 * self._distances.shape[0]), n), n))
             grown[:done] = self._distances[:done]
             self._distances = grown
         for m in range(done, k):
@@ -237,7 +237,8 @@ def _committee_scores(states, unlabeled, spec: StrategySpec, task: int) -> np.nd
     """The (runs, candidates) qbc or emcm scores of runs sharing labeled and candidate counts and a solver.
 
     Each run draws its resamples from its own stream, in member order, and scores as its own (B, k, d) member
-    fit would, bit for bit; one `fit` and one `predict` cover a chunk of runs (`_COMMITTEE_BLOCK`)."""
+    fit would, bit for bit; one `fit` of the (runs, B, k, d) designs and one `predict` with the (runs, B, d)
+    members it returns cover a chunk of runs (`_COMMITTEE_BLOCK`)."""
     models = [state._require_models()[task] for state in states]
     main = LinearModel(np.stack([m.coefficients for m in models]), np.stack([m.intercept for m in models]))
     k, d, size = states[0].n_labeled, states[0].pool.n_features, spec.committee_size
@@ -245,11 +246,10 @@ def _committee_scores(states, unlabeled, spec: StrategySpec, task: int) -> np.nd
     for i in range(0, len(states), step):
         chunk = states[i:i + step]
         rows = [np.asarray(s.labeled)[np.array([_bootstrap_indices(s.rng, k) for _ in range(size)])] for s in chunk]
-        X = np.concatenate([s.pool.features[r] for s, r in zip(chunk, rows)])
-        members = fit(X, np.concatenate([s.pool.labels[r, task] for s, r in zip(chunk, rows)]), chunk[0].solver)
+        X = np.stack([s.pool.features[r] for s, r in zip(chunk, rows)])  # (runs, B, k, d)
+        members = fit(X, np.stack([s.pool.labels[r, task] for s, r in zip(chunk, rows)]), chunk[0].solver)
         candidates = np.stack([s.pool.features[u] for s, u in zip(chunk, unlabeled[i:i + step])])
-        boot = predict(LinearModel(members.coefficients.reshape(len(chunk), size, d),
-                                   members.intercept.reshape(len(chunk), size)), candidates[:, None])
+        boot = predict(members, candidates[:, None])
         if spec.kind == "qbc":
             scores.append(boot.var(axis=1))
         else:

@@ -373,6 +373,18 @@ class TestLockstep:
             run_experiment(gen_synthetic(60, 3, 2, 0.1, seed=0), _cfg(train_fraction=0.99, runs=3))
         with pytest.raises(ValueError, match=message):
             run_single(*_split_synthetic(n=60, fraction=0.99), _cfg(train_fraction=0.99), seed=0)
+        # a single-task kind on 3-task data with no focus task, or one out of range
+        three_tasks = gen_synthetic(60, 3, 3, 0.1, seed=1)
+        pool, test = _split_synthetic(n=60, p=3)
+        for strategy, message in (("gsy", "needs a focus task"), ("qbc", "needs a focus task"),
+                                  ("igs:task=7", "focus_task 7 out of range for 3 tasks")):
+            cfg = _cfg(strategy=strategy, runs=3, k_max=8)
+            with pytest.raises(ValueError, match=message):
+                run_experiment(three_tasks, cfg)
+            with pytest.raises(ValueError, match=message):
+                run_single(pool, test, cfg, seed=0)
+            with pytest.raises(ValueError, match=message):
+                selection_sequence(pool, cfg.strategy, cfg.solver, cfg.k_max)
 
 
 class TestQueryLoopFits:
@@ -410,9 +422,8 @@ class TestQueryLoopFits:
         queried = harness._queries(pools, cfg.strategy, solver, cfg.k_max, range(5))
         assert calls[:4] == [(2, n_pool, 3), (2, n_pool, 3), (1, n_pool, 3), (5, 3, 3)]
         budget_solver = harness.resolve_lambda(solver, budget=cfg.k_max)
-        for pool, (state, _, reference) in zip(pools, queried):
+        for pool, (_, _, reference) in zip(pools, queried):
             alone = fit(pool.features, pool.labels, budget_solver)
-            assert state.solver == budget_solver
             for name in ("coefficients", "intercept", "nonconverged"):
                 assert np.array_equal(getattr(reference, name), getattr(alone, name)), name
 

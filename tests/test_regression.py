@@ -20,6 +20,8 @@ from alr.regression import (
 )
 from alr.regression import _kkt_violation, _lasso_path
 
+SHAPE_RULE = r"features \(\.\.\., k, d\) need targets \(\.\.\., k\) or \(\.\.\., k, P\)"
+
 
 def _kkt_residual(X, y, model, l1, l2):
     """Independent subgradient-optimality check of the unscaled objective.
@@ -322,11 +324,11 @@ class TestMultiTarget:
 
     def test_bad_target_shapes_rejected(self):
         X = np.ones((4, 2))
-        with pytest.raises(ValueError, match="targets must be 1-D or 2-D"):
+        with pytest.raises(ValueError, match=SHAPE_RULE):
             fit(X, np.ones((4, 2, 1)), SolverConfig("ols"))
-        with pytest.raises(ValueError, match="3 targets for 4 rows"):
+        with pytest.raises(ValueError, match=SHAPE_RULE):
             fit(X, np.ones((3, 2)), SolverConfig("ols"))
-        with pytest.raises(ValueError, match="3 targets for 4 rows"):
+        with pytest.raises(ValueError, match=SHAPE_RULE):
             fit(X, np.ones(3), SolverConfig("ols"))
 
 
@@ -369,51 +371,58 @@ class TestMemberAxis:
     def test_mismatched_member_axis_rejected(self):
         X = np.ones((3, 4, 2))
         for targets in (np.ones((2, 4)), np.ones(4), np.ones((2, 4, 1)), np.ones((3, 4, 1, 1))):
-            with pytest.raises(ValueError, match=r"need targets of shape \(3, k\)"):
+            with pytest.raises(ValueError, match=SHAPE_RULE):
                 fit(X, targets, SolverConfig("ols"))
         for targets in (np.ones((3, 5)), np.ones((3, 5, 2))):
-            with pytest.raises(ValueError, match="5 targets for 4 rows"):
+            with pytest.raises(ValueError, match=SHAPE_RULE):
                 fit(X, targets, SolverConfig("ols"))
-        with pytest.raises(ValueError, match="features must be 2-D, or 3-D"):
-            fit(np.ones((1, 3, 4, 2)), np.ones((1, 3, 4)), SolverConfig("ols"))
+        # 4-D features with 3-D targets are a (1, 3) stack of designs, each fitted as its 2-D call
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((1, 3, 4, 2)), rng.standard_normal((1, 3, 4))
+        model = fit(X, y, SolverConfig("ols"))
+        assert model.coefficients.shape == (1, 3, 2) and model.intercept.shape == (1, 3)
+        for b in range(3):
+            alone = fit(X[0, b], y[0, b], SolverConfig("ols"))
+            assert np.array_equal(model.coefficients[0, b], alone.coefficients)
+            assert model.intercept[0, b] == alone.intercept
 
 
 class TestRunAxis:
-    """(R, k, d) features with (R, k, P) targets give an (R, P, d) model, each run's rows bit for bit the
-    2-D fit to that run alone."""
+    """The shape rule for leading axes (), (R,) and (R, B): (..., k, d) features with (..., k) targets give one
+    model per design, with (..., k, P) targets P; each is bit for bit the 2-D fit to its column of its design."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
-        shape=st.tuples(st.integers(1, 5), st.integers(1, 30), st.integers(1, 5), st.integers(1, 4)),
+        lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 5), st.integers(1, 4)),
+        several=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         duplicate=st.booleans(),
         log_scale=st.floats(-3.0, 3.0),
         cfg=st.sampled_from(TestMultiTarget.SOLVERS),
     )
-    def test_each_run_equals_its_own_fit(self, shape, seed, duplicate, log_scale, cfg):
-        runs, k, d, p = shape
+    def test_each_run_equals_its_own_fit(self, lead, shape, several, seed, duplicate, log_scale, cfg):
+        k, d, p = shape
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((runs, k, d)) * 10.0**log_scale
+        X = rng.standard_normal((*lead, k, d)) * 10.0**log_scale
         if duplicate:
             X[..., -1] = X[..., 0]
-        Y = X @ rng.standard_normal((d, p)) + rng.standard_normal((runs, k, p)) * 10.0**log_scale
+        Y = X @ rng.standard_normal((d, p)) + rng.standard_normal((*lead, k, p)) * 10.0**log_scale
+        Y, stack = (Y, (*lead, p)) if several else (Y[..., 0], lead)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = fit(X, Y, cfg)
         # one warning per non-converged problem
         assert all("did not converge" in str(w.message) and w.category is RuntimeWarning for w in caught)
         assert len(caught) == model.nonconverged.sum()
-        assert model.coefficients.shape == (runs, p, d) and model.intercept.shape == (runs, p)
+        assert model.coefficients.shape == (*stack, d) and model.intercept.shape == model.nonconverged.shape == stack
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            singles = [fit(X[r], Y[r], cfg) for r in range(runs)]
-            members = fit(X, Y[..., 0], cfg)  # the (R, k) member call is the P = 1 case
-        for r, single in enumerate(singles):
-            assert np.array_equal(model.coefficients[r], single.coefficients)
-            assert np.array_equal(model.intercept[r], single.intercept)
-            assert np.array_equal(model.nonconverged[r], single.nonconverged)
-            assert np.array_equal(members.coefficients[r], single.coefficients[0])
-            assert members.intercept[r] == single.intercept[0]
+            for i in np.ndindex(*stack):
+                design, column = i[:len(lead)], i[len(lead):]  # column is (j,) for several targets, else ()
+                alone = fit(X[design], Y[design][(slice(None), *column)], cfg)
+                for name in ("coefficients", "intercept", "nonconverged"):
+                    assert np.array_equal(getattr(model[i], name), getattr(alone, name)), name
 
 
 class TestModelShapes:

@@ -695,6 +695,17 @@ class TestPoolStateInvariants:
         state = make_state(np.zeros((5, 3)), np.zeros((5, 1)))
         assert state.k0 == 3
 
+    def test_distance_ledger_stops_growing_at_the_pool_size(self):
+        rng = np.random.default_rng(0)
+        state = make_state(rng.standard_normal((5, 2)), rng.standard_normal((5, 1)))
+        for index in range(5):
+            state.add(index)
+            state._labeled_distances()
+        assert state._distances.shape == (5, 5)
+        features = state.pool.features
+        for m in range(5):
+            assert np.array_equal(state._distances[m], np.linalg.norm(features - features[m], axis=1))
+
 
 class TestStrategyGrammar:
     def test_parse_examples(self):
