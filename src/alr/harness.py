@@ -14,15 +14,17 @@ one pass, each run drawing its own resamples, in run order), then one `fit` cove
 `run_single` only scores the finished run: one `predict` and one call per metric per block of K's
 (`label_std` on the selected labels padded with NaN past each K), each score bit for bit that K's
 alone. `_SCORE_BLOCK` bounds a block's predictions and padded labels, and the stacked pools of one
-reference fit. `run_experiment` stacks each metric over runs and aggregates it in one `_aggregate`
-call into the curve's (mean, std, n_runs) arrays, each entry bit for bit the reduction of its runs
-alone; the writers format rows from them.
+reference fit. Its :class:`RunResult` keeps the (K's, ...) arrays the scoring produced; per-K
+records are only a view of their rows. `run_experiment` stacks each array over runs and aggregates
+it in one `_aggregate` call into the curve's (mean, std, n_runs) arrays, each entry bit for bit the
+reduction of its runs alone; the writers format rows from them.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from collections.abc import Iterator
@@ -106,12 +108,26 @@ class MetricRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of a single run: per-K records plus the full-pool reference's (tasks,) scores."""
+    """Outcome of a single run, as scored: at each K of `ks`, (K's, tasks) arrays of every metric, the
+    group's (K's,) share or None, and the (K's,) count of nonconverged task models; plus the selection
+    and the full-pool reference's (tasks,) scores. `records` views the rows as one MetricRecord per K."""
 
-    records: tuple[MetricRecord, ...]
+    ks: np.ndarray
+    rmse: np.ndarray
+    cc: np.ndarray
+    coef_mae: np.ndarray
+    label_std: np.ndarray
+    group_fraction: np.ndarray | None
+    nonconverged: np.ndarray
     selection: tuple[int, ...]
     bl2_rmse: np.ndarray
     bl2_cc: np.ndarray
+
+    @functools.cached_property
+    def records(self) -> tuple[MetricRecord, ...]:
+        shares = [None] * len(self.ks) if self.group_fraction is None else self.group_fraction.tolist()
+        return tuple(map(MetricRecord, self.ks.tolist(), self.rmse, self.cc, self.coef_mae, self.label_std,
+                         shares, self.nonconverged.tolist()))
 
 
 def _block_scores(models: LinearModel, test: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +200,8 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
     """Score one active-learning run over a fixed pool/test split; it fits nothing itself.
 
     `queried` is the run's (selection, models, reference) from the query loop; without it the run is queried here,
-    as the one-run case, from cfg.seed or `seed`. Each K >= k0 gets a MetricRecord, counting the task models that
-    did not converge, with test scores in blocks of K's and coefficient MAE against the reference.
+    as the one-run case, from cfg.seed or `seed`. Each K >= k0 gets a row of every array: test scores in blocks
+    of K's, coefficient MAE against the reference and the count of task models that did not converge.
     """
     if queried is None:  # run_experiment queries its runs in lockstep and passes each run's outcome
         _check_split(pool, test, cfg)
@@ -203,12 +219,11 @@ def run_single(pool: Dataset, test: Dataset, cfg: ExperimentConfig, seed: int | 
         for i in range(0, len(ks), block)
     ]
     rmse_k, cc_k, std_k = (np.concatenate(scores) for scores in zip(*blocks))
-    shares = [None] * len(ks)
+    shares = None
     if cfg.group_value is not None:  # matches among the first k selected, over k
-        shares = (np.cumsum(np.asarray(pool.group)[selection] == cfg.group_value)[ks - 1] / ks).tolist()
-    nonconverged = models.nonconverged.sum(axis=-1).tolist()
-    records = tuple(map(MetricRecord, ks.tolist(), rmse_k, cc_k, mae_k, std_k, shares, nonconverged))
-    return RunResult(records=records, selection=tuple(selection.tolist()), bl2_rmse=bl2_rmse, bl2_cc=bl2_cc)
+        shares = np.cumsum(np.asarray(pool.group)[selection] == cfg.group_value)[ks - 1] / ks
+    return RunResult(ks, rmse_k, cc_k, mae_k, std_k, shares, models.nonconverged.sum(axis=-1),
+                     tuple(selection.tolist()), bl2_rmse, bl2_cc)
 
 
 def selection_sequence(
@@ -293,20 +308,15 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
     results = [run_single(pool, test, cfg, seed, queried=q)
                for pool, test, seed, q in zip(pools, tests, seeds, queried)]
 
-    ks = tuple(rec.k for rec in results[0].records)  # every run splits the same data alike
-
-    def over_runs(name: str) -> np.ndarray:
-        """A record field of every run, runs last: (K's, tasks, runs), or (K's, runs) for a scalar."""
-        return np.stack([[getattr(rec, name) for rec in r.records] for r in results], axis=-1)
-
-    stats = {}  # each metric's arrays as (tasks, K's)
-    for metric in ("bl2_rmse", "bl2_cc"):  # per run, so one value per task serves every K
-        per_task = _aggregate(np.stack([getattr(r, metric) for r in results], axis=-1))
-        stats[metric] = tuple(np.repeat(a[:, None], len(ks), axis=1) for a in per_task)
-    for metric in ("rmse", "cc", "coef_mae", "label_std"):
-        stats[metric] = tuple(a.T for a in _aggregate(over_runs(metric)))
-    if cfg.group_value is not None:
-        stats["group_fraction"] = tuple(a[None] for a in _aggregate(over_runs("group_fraction")))
+    ks = tuple(results[0].ks.tolist())  # every run splits the same data alike
+    stats = {}  # each metric's arrays as (tasks, K's), from its runs stacked last
+    for metric in (m for m in _METRIC_ORDER if m != "group_fraction" or cfg.group_value is not None):
+        aggregated = _aggregate(np.stack([getattr(r, metric) for r in results], axis=-1))
+        if metric in ("bl2_rmse", "bl2_cc"):  # per run, so one value per task serves every K
+            stats[metric] = tuple(np.repeat(a[:, None], len(ks), axis=1) for a in aggregated)
+        else:  # (K's, tasks), or (K's,) for group_fraction
+            stats[metric] = tuple(np.atleast_2d(a.T) for a in aggregated)
+    nonconverged = np.stack([r.nonconverged for r in results], axis=-1).sum(axis=-1)
 
     strategy, solver = strategy_to_string(cfg.strategy), solver_to_string(cfg.solver)
     return LearningCurve(
@@ -316,7 +326,7 @@ def run_experiment(data: Dataset, cfg: ExperimentConfig, threads: int = 1) -> Le
         ks=ks,
         stats=stats,
         n_runs=cfg.runs,
-        nonconverged=dict(zip(ks, over_runs("nonconverged").sum(axis=-1).tolist())),
+        nonconverged=dict(zip(ks, nonconverged.tolist())),
         config={**dataclasses.asdict(cfg), "strategy": strategy, "solver": solver},
     )
 

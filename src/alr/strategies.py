@@ -14,12 +14,13 @@ gsx is the input-space sampler of Yu & Kim, "Passive Sampling for
 Regression" (ICDM 2010); gsy samples one task's output space; igs balances
 diversity in both. The product is taken per labeled sample before the min,
 so rescaling one task rescales every score alike and no task dominates.
-D_x comes from a ledger that computes each labeled sample's distances once.
-gsx (and the warm-up phase of every greedy kind) reads the ledger's running
-min, a nearest-label distance per pool sample updated as each row is added;
-the other kinds build their factors for a cache-sized block of labeled rows
-at a time and keep a running min over blocks. Either way every score has the
-bits of the min over one labeled x candidates matrix.
+gsx (and the warm-up phase of every greedy kind) reads a nearest-label
+distance per pool sample, into which each new label's D_x row is folded once
+and not kept. Only igs and mt_igs keep a ledger, which computes each labeled
+sample's D_x row once, from their first criterion step on. The model-based
+steps build their factors for a cache-sized block of labeled rows at a time
+and keep a running min over blocks. Either way every score has the bits of
+the min over one labeled x candidates matrix.
 
 The committee rules score the focus task t with B bootstrap refits f_b of
 its model (B = committee_size). Each run draws its resamples from its own
@@ -121,11 +122,12 @@ class PoolState:
 
     Tracks the ordered labeled index list, the unlabeled remainder, the
     task models (one :class:`LinearModel` stack, row t for task t) and the
-    solver that fitted them, the labeled samples' input distances and a
-    seeded random stream (random/qbc/emcm). `k0`, the labeled count before
-    model-based selection, is the pool's feature count. The query loop sets
-    `solver` once and, from k0 on, `models` after every label; `add` drops
-    the models, so no pick reads stale ones. Confined to a single run.
+    solver that fitted them, the nearest-label input distances (and for
+    igs/mt_igs each labeled sample's) and a seeded random stream
+    (random/qbc/emcm). `k0`, the labeled count before model-based
+    selection, is the pool's feature count. The query loop sets `solver`
+    once and, from k0 on, `models` after every label; `add` drops the
+    models, so no pick reads stale ones. Confined to a single run.
     """
 
     def __init__(self, pool: Dataset, rng=0):
@@ -140,6 +142,7 @@ class PoolState:
         self._distances = np.empty((0, pool.n_samples))
         self._n_distances = 0
         self._nearest = np.full(pool.n_samples, np.inf)
+        self._n_nearest = 0
 
     @property
     def n_labeled(self) -> int:
@@ -160,23 +163,30 @@ class PoolState:
         self._is_labeled[index] = True
         self.models = None
 
+    def _distance_row(self, m: int) -> np.ndarray:
+        """Every pool sample's distance to labeled[m]. Summing down the C-contiguous d x n copy adds each
+        pair's squares feature by feature; a transposed view would sum them pairwise and change the last bits."""
+        diff = self._features_t - self.pool.features[self.labeled[m], :, None]
+        return np.sqrt((diff * diff).sum(axis=0))
+
+    def _nearest_distances(self) -> np.ndarray:
+        """Every pool sample's distance to its nearest labeled sample. Each new label's row is folded in
+        once and not kept (`min` is exact, so the order does not matter)."""
+        for m in range(self._n_nearest, self.n_labeled):
+            np.minimum(self._nearest, self._distance_row(m), out=self._nearest)
+        self._n_nearest = self.n_labeled
+        return self._nearest
+
     def _labeled_distances(self) -> np.ndarray:
         """Row m: every pool sample's distance to labeled[m], computed once, in a buffer doubling with K and
-        capped at the pool size. Each new row is folded into `_nearest`, every pool sample's distance to
-        its nearest labeled sample (`min` is exact, so the order does not matter).
-
-        Summing down the C-contiguous d x n copy adds each pair's squares feature by feature; a
-        transposed view would sum them pairwise and change the last bits.
-        """
+        capped at the pool size. Only the igs and mt_igs criterion steps keep these rows."""
         k, done, n = self.n_labeled, self._n_distances, self.pool.n_samples
         if k > self._distances.shape[0]:
             grown = np.empty((min(max(k, 2 * self._distances.shape[0]), n), n))
             grown[:done] = self._distances[:done]
             self._distances = grown
         for m in range(done, k):
-            diff = self._features_t - self.pool.features[self.labeled[m], :, None]
-            self._distances[m] = np.sqrt((diff * diff).sum(axis=0))
-            np.minimum(self._nearest, self._distances[m], out=self._nearest)
+            self._distances[m] = self._distance_row(m)
         self._n_distances = k
         return self._distances[:k]
 
@@ -198,8 +208,7 @@ def _greedy_scores(state: PoolState, unlabeled: np.ndarray, use_input: bool, tas
     right, then the input distance; the floating-point scores depend on that order.
     """
     if not tasks:
-        state._labeled_distances()
-        return state._nearest[unlabeled]
+        return state._nearest_distances()[unlabeled]
     preds = predict(state._require_models(), state.pool.features[unlabeled])
     labels = state.pool.labels[state.labeled]
     ledger = state._labeled_distances() if use_input else None

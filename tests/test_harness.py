@@ -231,6 +231,59 @@ class TestScoringBlocks:
         assert len({r.group_fraction for r in result.records}) > 1
 
 
+def _assert_records_view_rows(result):
+    """Each record's fields are its K's rows of the result's arrays, bit for bit (NaN equal to NaN)."""
+    assert len(result.records) == len(result.ks)
+    for i, record in enumerate(result.records):
+        assert record.k == result.ks[i] and record.nonconverged == result.nonconverged[i]
+        for name in ("rmse", "cc", "coef_mae", "label_std"):
+            assert np.array_equal(getattr(record, name), getattr(result, name)[i], equal_nan=True), (i, name)
+        if result.group_fraction is None:
+            assert record.group_fraction is None
+        else:
+            assert record.group_fraction == result.group_fraction[i]
+
+
+class TestRunResultArrays:
+    """A RunResult holds the arrays its scoring produced; `records` views their rows, built once."""
+
+    @pytest.mark.parametrize("group_value", (None, "m"))
+    def test_shapes_dtypes_and_records_view(self, group_value):
+        pool, test = TestScoringBlocks._tagged_split()
+        result = run_single(pool, test, _cfg(k_max=18, group_value=group_value), seed=1)
+        n_k = 18 - pool.n_features + 1
+        assert np.array_equal(result.ks, np.arange(pool.n_features, 19)) and result.ks.dtype.kind == "i"
+        for name in ("rmse", "cc", "coef_mae", "label_std"):
+            array = getattr(result, name)
+            assert isinstance(array, np.ndarray) and array.shape == (n_k, pool.n_tasks) and array.dtype == float
+        assert result.nonconverged.shape == (n_k,) and result.nonconverged.dtype.kind == "i"
+        if group_value is None:
+            assert result.group_fraction is None
+        else:
+            assert result.group_fraction.shape == (n_k,) and result.group_fraction.dtype == float
+        assert isinstance(result.selection, tuple) and len(result.selection) == 18
+        _assert_records_view_rows(result)
+        assert result.records is result.records
+
+    def test_nan_cells_view_as_nan(self):
+        # d = 1: label_std at K = 1 is undefined; lambda=100 zeroes every coefficient, so no CC is defined
+        pool, test = _split_synthetic(n=60, d=1, p=2)
+        result = run_single(pool, test, _cfg(strategy="random", solver=parse_solver("lasso:lambda=100")), seed=0)
+        assert np.isnan(result.label_std[0]).all() and np.isnan(result.cc).all()
+        _assert_records_view_rows(result)
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    def test_nonconverged_counts_the_task_models_of_each_k(self):
+        pool, test = TestScoringBlocks._tagged_split()
+        cfg = _cfg(solver=parse_solver("lasso:lambda=30,max_iters=1"), k_max=18)
+        result = run_single(pool, test, cfg, seed=0)
+        _, models, _ = harness._queries([pool], cfg.strategy, cfg.solver, cfg.k_max, [0])[0]
+        assert np.array_equal(result.nonconverged, models.nonconverged.sum(axis=-1))
+        # at lambda=30 a one-step LASSO path converges at some K's and not at others
+        assert len(set(result.nonconverged.tolist())) > 1
+        _assert_records_view_rows(result)
+
+
 class TestRunExperiment:
     def test_single_run_curve_equals_run(self):
         data = gen_synthetic(40, 3, 2, 0.1, seed=1)
@@ -472,6 +525,50 @@ class TestAggregate:
         ref_mean, ref_std, ref_n = (np.reshape(a, (n_k, p)) for a in zip(*reference))
         assert np.array_equal(mean, ref_mean, equal_nan=True) and np.array_equal(std, ref_std, equal_nan=True)
         assert np.array_equal(n_runs, ref_n)
+
+
+class TestCurveFromRuns:
+    """A curve is `_aggregate` over the runs' arrays stacked last, bit for bit (NaN equal to NaN)."""
+
+    @pytest.mark.filterwarnings("ignore:LASSO path did not converge:RuntimeWarning")
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        solver=st.sampled_from(("ridge:lambda=10/k", "lasso:max_iters=1")),
+        runs=st.integers(1, 4),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        grouped=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stats_equal_aggregate_of_stacked_runs(self, kind, solver, runs, shape, grouped, seed):
+        d, p = shape  # d = 1 leaves every run's label_std undefined at K = 1
+        data = gen_synthetic(40, d, p, 0.1, seed=seed)
+        if grouped:
+            data = Dataset(data.features, data.labels, data.feature_names, data.task_names,
+                           group=tuple("m" if i % 3 == 0 else "f" for i in range(40)))
+        cfg = _cfg(strategy=f"{kind}:task=0" if kind in SINGLE_TASK_KINDS else kind, solver=parse_solver(solver),
+                   runs=runs, k_max=d + 5, seed=seed, group_value="m" if grouped else None)
+        curve = run_experiment(data, cfg)
+        results = [run_single(pool, test, cfg, seed=run_seed)
+                   for pool, test, run_seed in harness._run_splits(data, cfg)]
+        ks = tuple(range(d, d + 6))
+        assert curve.ks == ks and all(r.ks.tolist() == list(ks) for r in results)
+
+        def stacked(name):
+            return np.stack([getattr(r, name) for r in results], axis=-1)
+
+        expected = {name: tuple(a.T for a in harness._aggregate(stacked(name)))
+                    for name in ("rmse", "cc", "coef_mae", "label_std")}
+        for name in ("bl2_rmse", "bl2_cc"):
+            expected[name] = tuple(np.repeat(a[:, None], len(ks), axis=1) for a in harness._aggregate(stacked(name)))
+        if grouped:
+            expected["group_fraction"] = tuple(a[None] for a in harness._aggregate(stacked("group_fraction")))
+        assert curve.stats.keys() == expected.keys()
+        for name, arrays in expected.items():
+            assert len(curve.stats[name]) == 3
+            for got, want in zip(curve.stats[name], arrays):
+                assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True), name
+        assert curve.nonconverged == dict(zip(ks, stacked("nonconverged").sum(axis=-1).tolist()))
 
 
 class TestSavedQueries:

@@ -493,7 +493,7 @@ class TestGreedyBlocks:
             assert pick == unlabeled[np.argmax(reference)]
             state.add(pick)
             ledger = state._labeled_distances()
-            assert np.array_equal(state._nearest, ledger.min(axis=0))
+            assert np.array_equal(state._nearest_distances(), ledger.min(axis=0))
 
 
 class TestCommitteeStack:
@@ -705,6 +705,25 @@ class TestPoolStateInvariants:
         features = state.pool.features
         for m in range(5):
             assert np.array_equal(state._distances[m], np.linalg.norm(features - features[m], axis=1))
+
+    @pytest.mark.parametrize("kind", ("gsx", "gsy", "mt_gsy", "igs", "mt_igs"))
+    def test_only_igs_criterion_steps_keep_ledger_rows(self, kind):
+        rng = np.random.default_rng(5)
+        state = make_state(rng.standard_normal((20, 3)), rng.standard_normal((20, 2)))
+        spec = StrategySpec(kind, focus_task=0 if kind in SINGLE_TASK_KINDS else None)
+        features = state.pool.features
+        while state.n_labeled < 12:
+            if state.n_labeled >= state.k0:
+                fit_state(state, RIDGE)
+            pick = select_next(state, spec)
+            if kind in ("igs", "mt_igs") and state.n_labeled >= state.k0:
+                # the warm-up rows are computed again at the first criterion step
+                assert state._n_distances == state.n_labeled
+                for m, index in enumerate(state.labeled):
+                    assert np.array_equal(state._distances[m], np.linalg.norm(features - features[index], axis=1))
+            else:
+                assert state._n_distances == 0 and state._distances.shape[0] == 0
+            state.add(pick)
 
 
 class TestStrategyGrammar:
