@@ -44,24 +44,22 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     return values
 
 
-def _require_directory(flag: str, path) -> None:
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise ValueError(f"{flag}: no such directory: {parent}")
+def _check_files(args) -> None:
+    """Each set path in `args.outputs` (flags, in write order) must go to an existing directory and name
+    neither a file in `args.inputs` nor an earlier output: writing it would replace that file."""
+    def paths(flag):  # none when unset (stdout), one, or the list an nargs flag collects
+        value = getattr(args, flag[2:].replace("-", "_"))
+        return [] if value is None else [value] if isinstance(value, str) else value
 
-
-def _json_twin(out) -> Path:
-    """Where `alr run` writes the JSON twin of its --out CSV; it must not be the CSV itself."""
-    twin = Path(out).with_suffix(".json")
-    if twin == Path(out):
-        raise ValueError(f"--out: {out} would be overwritten by its JSON twin; give a path not ending in .json")
-    return twin
-
-
-def _require_not_input(flag: str, out, input_flag: str, *inputs) -> None:
-    """The output path `out` (None for stdout) may not name an input file: writing it would replace that input."""
-    if out is not None and any(Path(out).resolve() == Path(path).resolve() for path in inputs):
-        raise ValueError(f"{flag}: {out} is the {input_flag} file; the output would overwrite it")
+    taken = [(flag, path) for flag in args.inputs for path in paths(flag)]
+    for flag in args.outputs:
+        for path in paths(flag):
+            if not Path(path).parent.is_dir():
+                raise ValueError(f"{flag}: no such directory: {Path(path).parent}")
+            for other, used in taken:
+                if Path(path).resolve() == Path(used).resolve():
+                    raise ValueError(f"{flag}: {path} is the {other} file; the output would overwrite it")
+            taken.append((flag, path))
 
 
 def _k_spans(ks: list[int]) -> str:
@@ -87,11 +85,6 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_normalize(args, parser) -> int:
-    _require_directory("--out", args.out)
-    if args.params_out:
-        _require_directory("--params-out", args.params_out)
-        _require_not_input("--params-out", args.params_out, "--out", args.out)
-        _require_not_input("--params-out", args.params_out, "--data", args.data)
     data = _load_dataset(args)
     normalized, params = normalize_features(data)
     write_csv(normalized, args.out, group_column=args.group_column or "group")
@@ -102,10 +95,11 @@ def cmd_normalize(args, parser) -> int:
 
 
 def cmd_run(args, parser) -> int:
-    _require_directory("--out", args.out)
-    json_out = _json_twin(args.out)
-    for out in (args.out, json_out):
-        _require_not_input("--out", out, "--data", args.data)
+    json_out = Path(args.out).with_suffix(".json")  # the JSON twin, written after the CSV
+    if json_out == Path(args.out):
+        raise ValueError(f"--out: {args.out} would be overwritten by its JSON twin; give a path not ending in .json")
+    if json_out.resolve() == Path(args.data).resolve():
+        raise ValueError(f"--out: {json_out} is the --data file; the output would overwrite it")
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     if args.focus_task is not None and not 0 <= args.focus_task < data.n_tasks:
@@ -173,8 +167,6 @@ def _write_rows(path: str | None, header, rows) -> None:
 
 
 def cmd_compare(args, parser) -> int:
-    _require_not_input("--out", args.out, "--baseline", args.baseline)
-    _require_not_input("--out", args.out, "--curves", *args.curves)
     baseline = _single_curve(args.baseline)
     ks = _parse_list(args.k, "--k")
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
@@ -217,8 +209,6 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_saved_queries(args, parser) -> int:
-    _require_not_input("--out", args.out, "--reference", args.reference)
-    _require_not_input("--out", args.out, "--curves", *args.curves)
     reference = _single_curve(args.reference)
     alphas = _parse_list(args.alpha, "--alpha", float)
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
@@ -254,8 +244,6 @@ def cmd_saved_queries(args, parser) -> int:
 
 
 def cmd_unique_queries(args, parser) -> int:
-    _require_directory("--out", args.out)
-    _require_not_input("--out", args.out, "--data", args.data)
     data = _load_dataset(args)
     solver = parse_solver(args.solver)
     mt_spec = parse_strategy({"gsy": "mt_gsy", "igs": "mt_igs"}[args.family])
@@ -307,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0, help="label noise std")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(handler=cmd_synth)
+    p.set_defaults(handler=cmd_synth, outputs=("--out",), inputs=())
 
     p = sub.add_parser("normalize", parents=[data], help="normalize features to mean 0, std 1")
     p.add_argument("--out", required=True, help="normalized CSV path")
     p.add_argument("--params-out", default=None, help="JSON path for the (mean, std) pairs")
-    p.set_defaults(handler=cmd_normalize)
+    p.set_defaults(handler=cmd_normalize, outputs=("--out", "--params-out"), inputs=("--data",))
 
     p = sub.add_parser("run", parents=[data, experiment], help="run learning-curve experiments")
     p.add_argument(
@@ -332,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-value", default=None, help="track the selected fraction of this group tag")
     p.add_argument("--threads", type=int, default=1, help="accepted and ignored: runs execute one after another")
     p.add_argument("--out", required=True, help="output CSV path (JSON written alongside)")
-    p.set_defaults(handler=cmd_run)
+    p.set_defaults(handler=cmd_run, outputs=("--out",), inputs=("--data",))
 
     p = sub.add_parser("compare", help="improvement-over-baseline table from curve files")
     p.add_argument("--baseline", required=True, help="curve CSV holding exactly one strategy")
@@ -340,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default=_DEFAULT_COMPARE_KS, help="comma-separated K values")
     p.add_argument("--measure", choices=("rmse", "cc", "both"), default="both")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    p.set_defaults(handler=cmd_compare)
+    p.set_defaults(handler=cmd_compare, outputs=("--out",), inputs=("--baseline", "--curves"))
 
     p = sub.add_parser("saved-queries", help="labels saved to reach the full-pool threshold")
     p.add_argument("--curves", nargs="+", required=True, help="curve CSVs to analyze")
@@ -348,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=_DEFAULT_ALPHAS, help="comma-separated tolerance percentages")
     p.add_argument("--measure", choices=("rmse", "cc", "both"), default="both")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    p.set_defaults(handler=cmd_saved_queries)
+    p.set_defaults(handler=cmd_saved_queries, outputs=("--out",), inputs=("--reference", "--curves"))
 
     p = sub.add_parser(
         "unique-queries",
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", choices=("gsy", "igs"), required=True)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(handler=cmd_unique_queries)
+    p.set_defaults(handler=cmd_unique_queries, outputs=("--out",), inputs=("--data",))
 
     return parser
 
@@ -366,6 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_files(args)
         return args.handler(args, parser)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

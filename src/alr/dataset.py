@@ -160,6 +160,14 @@ class NormalizationParams:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2), encoding="utf-8")
 
 
+def _csv_records(reader, path):
+    """The rows of a csv `reader` over `path`; a csv.Error (a stray quote, say) becomes a ValueError citing the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
     """Load a Dataset from a headered CSV file.
 
@@ -176,10 +184,10 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
+        records = _csv_records(reader, path)
+        header = next(records, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         if group_column is not None and group_column not in header:
             raise ValueError(
@@ -195,11 +203,10 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
 
         rows: list[list[float]] = []
         groups: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
+        lines: list[int] = []  # the file line each row ends on
+        for row in records:
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}"
-                )
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             if group_pos is not None:
                 groups.append(row.pop(group_pos).strip())
             values = []
@@ -208,17 +215,18 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
                     values.append(float(cell))
                 except ValueError:
                     raise ValueError(
-                        f"{path}: non-numeric value '{cell.strip()}' at line {line_no}, column '{name}'"
+                        f"{path}: non-numeric value '{cell.strip()}' at line {reader.line_num}, column '{name}'"
                     ) from None
             rows.append(values)
+            lines.append(reader.line_num)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
-        row, col = bad[0]  # rows hold lines 2, 3, ... in order
-        raise ValueError(f"{path}: non-finite value at line {row + 2}, column '{numeric_names[col]}'")
+        row, col = bad[0]
+        raise ValueError(f"{path}: non-finite value at line {lines[row]}, column '{numeric_names[col]}'")
     try:
         return Dataset(
             features=table[:, : -task_count],

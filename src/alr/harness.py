@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitConfig, apply_normalization, normalize_features, split_train_test
+from .dataset import Dataset, SplitConfig, _csv_records, apply_normalization, normalize_features, split_train_test
 from .metrics import _defined_stats, label_std, pearson_cc, rmse
 from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
 from .strategies import (SINGLE_TASK_KINDS, PoolState, StrategySpec, _committee_phase, _committee_picks,
@@ -440,10 +440,11 @@ def read_curves_csv(path) -> list[LearningCurve]:
     grouped: dict[tuple[str, str], tuple[dict, list, set]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(reader, path)
+        header = next(records, None)
         if header is None or tuple(header) != CURVE_CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CURVE_CSV_HEADER)}")
-        for row in reader:
+        for row in records:
             if len(row) != len(header):
                 raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             strategy, solver, task, k, metric, mean, std, n_runs = row

@@ -209,8 +209,8 @@ def fit(features, targets, cfg: SolverConfig) -> LinearModel:
                 violation = _kkt_violation(gram[m], c, B[m, p], l1, l2)
                 nonconverged[m, p] = not (violation <= 10.0 * cfg.cd_tolerance)
                 if nonconverged[m, p]:
-                    warnings.warn(f"LASSO path did not converge: KKT residual {violation:.3g} after at most "
-                                  f"{cfg.cd_max_iters} steps", RuntimeWarning, stacklevel=2)
+                    warnings.warn(f"LASSO path did not converge in {cfg.cd_max_iters} steps", RuntimeWarning,
+                                  stacklevel=2)
 
     intercepts = y_means - (B[:, :, None, :] @ x_mean[:, None, :, None])[..., 0, 0]
     shape = Y.shape[:len(lead)] + Y.shape[len(lead) + 1:]  # the targets' shape without the row axis

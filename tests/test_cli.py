@@ -103,6 +103,21 @@ class TestSynthAndNormalize:
         assert synth_csv.read_bytes() == before
         assert not out.exists()
 
+    def test_out_naming_the_data_file_exits_1_and_writes_nothing(self, tmp_path, synth_csv, capsys):
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "sub" / ".." / synth_csv.name
+        before = synth_csv.read_bytes()
+        params = tmp_path / "params.json"
+        code = main(
+            ["normalize", "--data", str(synth_csv), "--tasks", "3", "--out", str(out), "--params-out", str(params)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: --out: {out} is the --data file; the output would overwrite it" in captured.err
+        assert captured.out == ""
+        assert synth_csv.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "sub"]
+
     def test_normalize_preserves_group_column_name(self, tmp_path):
         data = tmp_path / "g.csv"
         data.write_text("f1,gender,v\n1.0,m,0.1\n2.0,f,0.2\n3.0,m,0.3\n")
@@ -236,6 +251,24 @@ class TestRunErrors:
         assert code == 1
         assert f"error: {data}: {message}" in capsys.readouterr().err
         assert not out.exists() and not params.exists()
+
+    def test_oversized_cell_exits_1_citing_file_and_line(self, tmp_path, synth_csv, capsys):
+        # one stray opening quote makes a single cell of the rest of the file, past the csv module's limit
+        data = tmp_path / "quote.csv"
+        lines = synth_csv.read_text().splitlines(keepends=True)
+        lines[3] = '"' + lines[3]
+        data.write_text("".join(lines[:4]) + "9" * 200_000 + "".join(lines[4:]))
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        code = main(
+            ["run", "--data", str(data), "--tasks", "3", "--strategy", "random",
+             "--runs", "2", "--k-max", "4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {data}: line 5: field larger than field limit (131072)" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_threads_below_one_exits_1(self, tmp_path, synth_csv, capsys):
         out = tmp_path / "c.csv"
@@ -386,6 +419,24 @@ class TestNonconvergence:
         assert {r["metric"] for r in rows} == {"rmse", "cc", "coef_mae", "label_std", "bl2_rmse", "bl2_cc"}
 
 
+    def test_each_fit_site_warns_once(self, tmp_path, synth_csv):
+        # the warning text names no per-problem residual, so the default filter shows it once per call site
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run(
+            [sys.executable, "-m", "alr.cli", "run", "--data", str(synth_csv), "--tasks", "3", "--strategy", "random",
+             "--solver", "lasso:lambda=0.001,max_iters=1", "--runs", "2", "--k-max", "5",
+             "--out", str(tmp_path / "c.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stderr.splitlines()
+        warned = [line for line in lines if "RuntimeWarning: LASSO path did not converge in 1 steps" in line]
+        assert 1 <= len(warned) <= 2  # the full-pool reference fit and the task fit
+        assert "random: 18 of 18 fits did not converge (K=3..5)" in lines
+
+
 class TestDeterminism:
     def test_byte_identical_outputs_across_reruns_and_threads(self, tmp_path, synth_csv):
         outputs = []
@@ -530,6 +581,52 @@ class TestCompare:
         err = capsys.readouterr().err
         assert f"error: {candidate}: line 2: " in err and "'x'" in err
 
+    def test_oversized_cell_in_curves_exits_1_citing_file_and_line(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        candidate = tmp_path / "gsx.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        _write_curve_csv(candidate, "gsx", {"rmse": {50: 0.3}}, {"bl2_rmse": 0.2})
+        with candidate.open("a", encoding="utf-8") as fh:
+            fh.write('"' + "x" * 200_000 + '",ridge:lambda=10/k,v,60,rmse,0.3,0.0,100\n')
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(candidate), "--k", "50"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {candidate}: line 4: field larger than field limit (131072)" in captured.err
+        assert captured.out == ""
+
+    def test_non_integer_k_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(baseline), "--k", "1.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: --k expects a comma-separated list of int values, got '1.5'" in captured.err
+        assert captured.out == ""
+
+    def test_baseline_of_two_strategies_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2})
+        other = tmp_path / "gsx.csv"
+        _write_curve_csv(other, "gsx", {"rmse": {50: 0.3}}, {"bl2_rmse": 0.2})
+        with baseline.open("a", encoding="utf-8") as fh:
+            fh.writelines(other.read_text(encoding="utf-8").splitlines(keepends=True)[1:])
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(other), "--k", "50"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {baseline}: expected exactly one strategy, found 2" in captured.err
+        assert captured.out == ""
+
+    def test_task_set_differing_from_the_baseline_exits_1(self, tmp_path, capsys):
+        baseline = tmp_path / "bl1.csv"
+        candidate = tmp_path / "gsx.csv"
+        _write_curve_csv(baseline, "random", {"rmse": {50: 0.4}}, {"bl2_rmse": 0.2}, tasks=("v", "a"))
+        _write_curve_csv(candidate, "gsx", {"rmse": {50: 0.3}}, {"bl2_rmse": 0.2}, tasks=("v",))
+        code = main(["compare", "--baseline", str(baseline), "--curves", str(candidate), "--k", "50"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {candidate}: task set differs from the baseline" in captured.err
+        assert captured.out == ""
+
     def test_baseline_missing_measure_exits_1(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"
         candidate = tmp_path / "gsx.csv"
@@ -561,6 +658,27 @@ def test_out_naming_an_input_curve_file_exits_1_and_keeps_it(tmp_path, capsys, c
     flag = reference_flag if target == "reference" else "--curves"
     assert f"--out: {out} is the {flag} file" in capsys.readouterr().err
     assert {path: path.read_bytes() for path in (reference, curves)} == before
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--baseline", "ABSENT", "--curves", "ABSENT"],
+    ["saved-queries", "--reference", "ABSENT", "--curves", "ABSENT"],
+    ["synth", "--n", "30", "--d", "2", "--p", "1"],
+], ids=("compare", "saved-queries", "synth"))
+def test_out_in_a_missing_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # the inputs do not exist and synth may not generate, so any read or draw would give another error
+    def no_synth(*args, **kwargs):
+        raise AssertionError("synth generated a dataset before checking --out")
+
+    monkeypatch.setattr("alr.cli.gen_synthetic", no_synth)
+    out = tmp_path / "missing" / "out.csv"
+    argv = [str(tmp_path / "absent.csv") if arg == "ABSENT" else arg for arg in command]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: --out: no such directory: {out.parent}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSavedQueries:
@@ -627,6 +745,15 @@ class TestSavedQueries:
         assert code == 1
         assert "error: --alpha expects at least one value" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_numeric_alpha_exits_1(self, tmp_path, capsys):
+        reference = tmp_path / "ref.csv"
+        _write_curve_csv(reference, "random", {"rmse": {5: 0.21, 6: 0.201}}, {"bl2_rmse": 0.2})
+        code = main(["saved-queries", "--curves", str(reference), "--reference", str(reference), "--alpha", "x"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: --alpha expects a comma-separated list of float values, got 'x'" in captured.err
+        assert captured.out == ""
 
     def test_reference_missing_full_pool_row_exits_1(self, tmp_path, capsys):
         reference = tmp_path / "ref.csv"

@@ -73,6 +73,22 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="non-finite value at line 3, column 'f2'"):
             load_csv(_write(tmp_path, text), task_count=1, group_column="gender")
 
+    @pytest.mark.parametrize("cell, message", [("abc", "non-numeric value 'abc' at line 4, column 'f1'"),
+                                               ("nan", "non-finite value at line 4, column 'f1'")])
+    def test_quoted_newline_keeps_later_lines(self, tmp_path, cell, message):
+        # the first data row spans lines 2 and 3, so the second starts on line 4
+        path = _write(tmp_path, f'f1,v\n"1.0\n",0.1\n{cell},0.2\n')
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, task_count=1)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_oversized_cell_cites_file_and_line(self, tmp_path):
+        # a stray opening quote makes one cell of the rest of the file; here the cell itself is too large
+        path = _write(tmp_path, "f1,v\n1.0,0.1\n\"" + "9" * 200_000 + "\",0.2\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, task_count=1)
+        assert str(exc.value) == f"{path}: line 3: field larger than field limit (131072)"
+
     def test_too_few_numeric_columns(self, tmp_path):
         text = "a,b,c\n1,2,3\n"
         with pytest.raises(ValueError, match="at least 4 numeric columns"):
