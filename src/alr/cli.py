@@ -8,14 +8,12 @@ diagnostics. Exit codes: 0 success, 1 data error, 2 argument error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import math
 import sys
 from pathlib import Path
 
-from .dataset import gen_synthetic, load_csv, normalize_features, write_csv
+from .dataset import _write_table, gen_synthetic, load_csv, normalize_features, write_csv
 from .harness import (
     ExperimentConfig,
     _run_splits,
@@ -35,12 +33,16 @@ _DEFAULT_ALPHAS = "1,2,3,5,10"
 
 
 def _parse_list(text: str, flag: str, kind=int) -> list:
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     try:
-        values = [kind(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in parts]
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of {kind.__name__} values, got '{text}'") from None
     if not values:
         raise ValueError(f"{flag} expects at least one value")
+    for i, value in enumerate(values):
+        if value in values[:i]:  # its table rows would repeat
+            raise ValueError(f"{flag} gives {parts[i]} twice")
     return values
 
 
@@ -160,15 +162,9 @@ def _single_curve(path: str):
     return curves[0]
 
 
-def _write_rows(path: str | None, header, rows) -> None:
-    out = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8")
-    with out as fh:
-        csv.writer(fh).writerows([header, *rows])
-
-
 def cmd_compare(args, parser) -> int:
-    baseline = _single_curve(args.baseline)
     ks = _parse_list(args.k, "--k")
+    baseline = _single_curve(args.baseline)
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
 
     rows = []
@@ -200,17 +196,14 @@ def cmd_compare(args, parser) -> int:
                                 round(pct) if math.isfinite(pct) else "",
                             )
                         )
-    _write_rows(
-        args.out,
-        ("strategy", "solver", "task", "measure", "K", "baseline", "value", "improvement_pct"),
-        rows,
-    )
+    header = ("strategy", "solver", "task", "measure", "K", "baseline", "value", "improvement_pct")
+    _write_table(args.out, header, rows)
     return 0
 
 
 def cmd_saved_queries(args, parser) -> int:
-    reference = _single_curve(args.reference)
     alphas = _parse_list(args.alpha, "--alpha", float)
+    reference = _single_curve(args.reference)
     measures = ("rmse", "cc") if args.measure == "both" else (args.measure,)
 
     rows = []
@@ -235,11 +228,8 @@ def cmd_saved_queries(args, parser) -> int:
                                 saving,
                             )
                         )
-    _write_rows(
-        args.out,
-        ("strategy", "task", "measure", "alpha_pct", "k_reference", "k_curve", "saving_pct"),
-        rows,
-    )
+    header = ("strategy", "task", "measure", "alpha_pct", "k_reference", "k_curve", "saving_pct")
+    _write_table(args.out, header, rows)
     return 0
 
 
@@ -258,7 +248,7 @@ def cmd_unique_queries(args, parser) -> int:
     for k in range(k0, k_max + 1):
         mt_count, st_union = unique_query_count(mt_seq[:k], [seq[:k] for seq in st_seqs])
         rows.append((k, mt_count, st_union))
-    _write_rows(args.out, ("K", "mt_unique", "st_union"), rows)
+    _write_table(args.out, ("K", "mt_unique", "st_union"), rows)
     print(
         f"unique-queries: {args.family} on {pool.n_tasks} tasks, "
         f"K={k0}..{k_max}, final mt={rows[-1][1]} st_union={rows[-1][2]}"

@@ -4,13 +4,16 @@ A :class:`Dataset` is an immutable table of N samples holding a feature matrix
 (N x d), a label matrix (N x P, one column per task), and an optional
 per-sample categorical group tag. Every operation in this module is a pure
 function of its inputs plus an explicit seed, so datasets can be shared freely
-across concurrent readers.
+across concurrent readers. Every CSV table alr reads or writes, data or curves,
+goes through :func:`_read_table` and :func:`_write_table`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,16 +163,49 @@ class NormalizationParams:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2), encoding="utf-8")
 
 
-def _csv_records(reader, path):
-    """The rows of a csv `reader` over `path`; a csv.Error (a stray quote, say) becomes a ValueError citing the line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+def _read_table(path, text):
+    """Stream a headered CSV table: yield its header, then (line, values) per row, `line` the file line it ends on.
+    Cells are stripped; a row's values are floats but for the columns named in `text`, kept as strings. A breach
+    cites the file: no file, no header, a row of another width, a non-numeric cell, a csv.Error (a stray quote)."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header row required")
+            header = [name.strip() for name in header]
+            yield header
+            parsers = [str.strip if name in text else float for name in header]
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
+                try:
+                    values = [parse(cell) for parse, cell in zip(parsers, row)]
+                except ValueError:  # find the first cell that is not a number
+                    for name, parse, cell in zip(header, parsers, row):
+                        try:
+                            parse(cell)
+                        except ValueError:
+                            raise ValueError(f"{path}: non-numeric value '{cell.strip()}' at line "
+                                             f"{reader.line_num}, column '{name}'") from None
+                yield reader.line_num, values
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _write_table(path, header, rows) -> None:
+    """Write `header`, then `rows`, as a CSV table to the file at `path`, or to stdout when `path` is None."""
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
-    """Load a Dataset from a headered CSV file.
+    """Load a Dataset from a headered CSV file (read as :func:`_read_table` reads any table).
 
     The last `task_count` numeric columns are the task labels; every other
     column except the optional `group_column` must be numeric and becomes a
@@ -179,46 +215,24 @@ def load_csv(path, task_count: int, group_column: str | None = None) -> Dataset:
     path = Path(path)
     if task_count < 1:
         raise ValueError("task_count must be >= 1")
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
+    records = _read_table(path, text=() if group_column is None else (group_column,))
+    header = next(records)
+    if group_column is not None and header.count(group_column) != 1:
+        raise ValueError(f"{path}: group column '{group_column}' must appear once in header {header}")
+    group_pos = header.index(group_column) if group_column is not None else None
+    numeric_names = [h for i, h in enumerate(header) if i != group_pos]
+    if len(numeric_names) < task_count + 1:
+        raise ValueError(
+            f"{path}: need at least {task_count + 1} numeric columns "
+            f"(features + {task_count} tasks), found {len(numeric_names)}"
+        )
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        records = _csv_records(reader, path)
-        header = next(records, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in header]
-        if group_column is not None and group_column not in header:
-            raise ValueError(
-                f"{path}: group column '{group_column}' not found in header {header}"
-            )
-        group_pos = header.index(group_column) if group_column is not None else None
-        numeric_names = [h for i, h in enumerate(header) if i != group_pos]
-        if len(numeric_names) < task_count + 1:
-            raise ValueError(
-                f"{path}: need at least {task_count + 1} numeric columns "
-                f"(features + {task_count} tasks), found {len(numeric_names)}"
-            )
-
-        rows: list[list[float]] = []
-        groups: list[str] = []
-        lines: list[int] = []  # the file line each row ends on
-        for row in records:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
-            if group_pos is not None:
-                groups.append(row.pop(group_pos).strip())
-            values = []
-            for name, cell in zip(numeric_names, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value '{cell.strip()}' at line {reader.line_num}, column '{name}'"
-                    ) from None
-            rows.append(values)
-            lines.append(reader.line_num)
+    rows, groups, lines = [], [], []  # lines: the file line each row ends on
+    for line, values in records:
+        if group_pos is not None:
+            groups.append(values.pop(group_pos))
+        rows.append(values)
+        lines.append(line)
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -245,20 +259,11 @@ def write_csv(data: Dataset, path, group_column: str = "group") -> None:
     Floats are printed with 17 significant digits so a load/write cycle
     round-trips values exactly.
     """
-    path = Path(path)
-    header = list(data.feature_names)
-    if data.group is not None:
-        header.append(group_column)
-    header.extend(data.task_names)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n_samples):
-            row = [format(v, ".17g") for v in data.features[i]]
-            if data.group is not None:
-                row.append(data.group[i])
-            row.extend(format(v, ".17g") for v in data.labels[i])
-            writer.writerow(row)
+    header = [*data.feature_names, *([] if data.group is None else [group_column]), *data.task_names]
+    tags = [()] * data.n_samples if data.group is None else [(tag,) for tag in data.group]
+    rows = ([*(format(v, ".17g") for v in x), *tag, *(format(v, ".17g") for v in y)]
+            for x, tag, y in zip(data.features, tags, data.labels))
+    _write_table(path, header, rows)
 
 
 def normalize_features(data: Dataset) -> tuple[Dataset, NormalizationParams]:

@@ -22,7 +22,6 @@ reduction of its runs alone; the writers format rows from them.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -33,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitConfig, _csv_records, apply_normalization, normalize_features, split_train_test
+from .dataset import (Dataset, SplitConfig, _read_table, _write_table, apply_normalization, normalize_features,
+                      split_train_test)
 from .metrics import _defined_stats, label_std, pearson_cc, rmse
 from .regression import LinearModel, SolverConfig, coefficient_mae, fit, predict, resolve_lambda, solver_to_string
 from .strategies import (SINGLE_TASK_KINDS, PoolState, StrategySpec, _committee_phase, _committee_picks,
@@ -396,14 +396,10 @@ def _curve_cells(curve: LearningCurve) -> Iterator[tuple[str, str, int, float, f
 
 def write_curves_csv(curves, path) -> None:
     """Tidy plot-ready CSV: one row per (strategy, task, K, metric), in :func:`_curve_cells` order."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_CSV_HEADER)
-        for curve in curves:
-            writer.writerows(
-                (curve.strategy, curve.solver, task, k, metric, repr(float(mean)), repr(float(std)), n_runs)
-                for metric, task, k, mean, std, n_runs in _curve_cells(curve)
-            )
+    _write_table(path, CURVE_CSV_HEADER, (
+        (curve.strategy, curve.solver, task, k, metric, repr(float(mean)), repr(float(std)), n_runs)
+        for curve in curves for metric, task, k, mean, std, n_runs in _curve_cells(curve)
+    ))
 
 
 def _json_safe(v: float) -> float | None:
@@ -434,33 +430,31 @@ def write_curves_json(curves, path) -> None:
 
 
 def read_curves_csv(path) -> list[LearningCurve]:
-    """Rebuild LearningCurve objects from a tidy CSV (config echo not recoverable). A curve's axes are
-    the tasks and K's its rows name; each metric must give one row at every task and K, and none twice."""
+    """Rebuild LearningCurve objects from a tidy CSV (config echo not recoverable), read by `_read_table`. The header
+    must be CURVE_CSV_HEADER, K and n_runs integers, mean and std finite or NaN. A curve's axes are the tasks and K's
+    its rows name; each metric must give one row at every task and K, and none twice."""
     path = Path(path)
     grouped: dict[tuple[str, str], tuple[dict, list, set]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        records = _csv_records(reader, path)
-        header = next(records, None)
-        if header is None or tuple(header) != CURVE_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(CURVE_CSV_HEADER)}")
-        for row in records:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(header)}")
-            strategy, solver, task, k, metric, mean, std, n_runs = row
-            try:
-                k, cell = int(k), (float(mean), float(std), int(n_runs))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            cells, tasks, ks = grouped.setdefault((strategy, solver), ({}, [], set()))
-            if (metric, task, k) in cells:
-                raise ValueError(f"{path}: line {reader.line_num} repeats {metric} for task '{task}' at K={k}")
-            if metric == "group_fraction" and task != "all":
-                raise ValueError(f"{path}: line {reader.line_num} gives group_fraction for task '{task}', not 'all'")
-            if metric != "group_fraction" and task not in tasks:  # "all" is group_fraction's
-                tasks.append(task)
-            ks.add(k)
-            cells[metric, task, k] = cell
+    records = _read_table(path, text=("strategy", "solver", "task", "metric"))
+    if tuple(next(records)) != CURVE_CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(CURVE_CSV_HEADER)}")
+    for line, (strategy, solver, task, k, metric, mean, std, n_runs) in records:
+        if math.isinf(mean) or math.isinf(std):
+            column = "mean" if math.isinf(mean) else "std"
+            raise ValueError(f"{path}: non-finite value at line {line}, column '{column}'")
+        if not (k.is_integer() and n_runs.is_integer()):
+            column = "n_runs" if k.is_integer() else "K"
+            raise ValueError(f"{path}: non-integer value at line {line}, column '{column}'")
+        k, cell = int(k), (mean, std, int(n_runs))
+        cells, tasks, ks = grouped.setdefault((strategy, solver), ({}, [], set()))
+        if (metric, task, k) in cells:
+            raise ValueError(f"{path}: line {line} repeats {metric} for task '{task}' at K={k}")
+        if metric == "group_fraction" and task != "all":
+            raise ValueError(f"{path}: line {line} gives group_fraction for task '{task}', not 'all'")
+        if metric != "group_fraction" and task not in tasks:  # "all" is group_fraction's
+            tasks.append(task)
+        ks.add(k)
+        cells[metric, task, k] = cell
     curves = []
     for (strategy, solver), (cells, tasks, ks) in grouped.items():
         curve = LearningCurve(strategy, solver, tuple(tasks), tuple(sorted(ks)), {},

@@ -331,6 +331,7 @@ class TestRunErrors:
             ("lasso:tol=1e-3,tol=1e-4", "solver option 'tol' is given twice in 'lasso:tol=1e-3,tol=1e-4'"),
             ("elastic_net:lambda=1,lambda1=2",
              "solver options 'lambda' and 'lambda1' in 'elastic_net:lambda=1,lambda1=2' set the same weight"),
+            ("lasso:max_iters=0", "lasso max_iters must be >= 1"),
         ],
     )
     def test_ignored_solver_option_exits_1(self, tmp_path, synth_csv, capsys, solver, message):
@@ -352,6 +353,7 @@ class TestRunErrors:
             ("gsx:task=1", "strategy gsx takes no 'task' option"),
             ("random:committee=8", "strategy random takes no 'committee' option"),
             ("qbc:task=0,task=1", "strategy option 'task' is given twice in 'qbc:task=0,task=1'"),
+            ("gsy:task=-1", "focus_task must be a nonnegative task index"),
         ],
     )
     def test_ignored_strategy_option_exits_1(self, tmp_path, synth_csv, capsys, strategy, message):
@@ -363,6 +365,32 @@ class TestRunErrors:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, table, flags, message",
+        [
+            ("run", None, ["--tasks", "0"], "task_count must be >= 1"),
+            ("run", "", ["--tasks", "3"], "{data}: empty file, header row required"),
+            ("run", "header", ["--tasks", "3"], "{data}: no data rows"),
+            ("run", None, ["--tasks", "3", "--k-max", "0"], "k_max must be >= 1 when set"),
+            ("normalize", "one row", ["--tasks", "3"], "normalization needs at least 2 samples"),
+        ],
+    )
+    def test_bad_input_exits_1_with_its_error_line(self, tmp_path, synth_csv, capsys, command, table, flags, message):
+        data = synth_csv
+        if table is not None:  # the synthetic table cut to no line, its header, or its header and first row
+            data = tmp_path / "cut.csv"
+            lines = synth_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+            data.write_text("".join(lines[:{"": 0, "header": 1, "one row": 2}[table]]), encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        extra = ["--strategy", "random", "--runs", "2"] if command == "run" else []
+        code = main([command, "--data", str(data), *flags, *extra, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message.format(data=data)}\n"
+        assert not out.exists()
+
 
 class TestOneFeature:
     @pytest.mark.parametrize("kind", ["qbc", "emcm"])
@@ -578,8 +606,7 @@ class TestCompare:
         _write_curve_csv(candidate, "gsx", {"rmse": {50: "x"}}, {"bl2_rmse": 0.2})
         code = main(["compare", "--baseline", str(baseline), "--curves", str(candidate), "--k", "50"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"error: {candidate}: line 2: " in err and "'x'" in err
+        assert f"error: {candidate}: non-numeric value 'x' at line 2, column 'mean'" in capsys.readouterr().err
 
     def test_oversized_cell_in_curves_exits_1_citing_file_and_line(self, tmp_path, capsys):
         baseline = tmp_path / "bl1.csv"
@@ -638,6 +665,77 @@ class TestCompare:
         )
         assert code == 1
         assert "error: random: no cc value for task 'v' at K=50" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, values, message", [
+    ("compare", "--k", "50,4,4", "--k gives 4 twice"),
+    ("saved-queries", "--alpha", "5,1,5.0", "--alpha gives 5.0 twice"),
+])
+def test_repeated_list_value_exits_1(tmp_path, capsys, command, flag, values, message):
+    # each value's table rows would be written twice
+    curves = tmp_path / "bl1.csv"
+    _write_curve_csv(curves, "random", {"rmse": {4: 0.4, 50: 0.3}}, {"bl2_rmse": 0.2})
+    reference_flag = "--baseline" if command == "compare" else "--reference"
+    out = tmp_path / "table.csv"
+    code = main([command, reference_flag, str(curves), "--curves", str(curves), flag, values, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+class TestTableReaders:
+    """`run --data` and `compare --baseline` read their tables through one reader, so a breach of a rule they
+    share gives both the same message."""
+
+    CURVE_HEADER = "strategy,solver,task,K,metric,mean,std,n_runs\n"
+
+    @staticmethod
+    def _argv(reader, path, out):
+        if reader == "data":
+            return ["run", "--data", str(path), "--tasks", "1", "--strategy", "random", "--runs", "2", "--k-max", "4",
+                    "--out", str(out)]
+        return ["compare", "--baseline", str(path), "--curves", str(path), "--k", "5", "--out", str(out)]
+
+    @pytest.mark.parametrize("reader, text, message", [
+        ("data", None, "no such file: {path}"),
+        ("curves", None, "no such file: {path}"),
+        ("data", "", "{path}: empty file, header row required"),
+        ("curves", "", "{path}: empty file, header row required"),
+        ("data", "x,y\n1.0\n", "{path}: line 2 has 1 cells, expected 2"),
+        ("curves", CURVE_HEADER + "random\n", "{path}: line 2 has 1 cells, expected 8"),
+        ("data", "x,y\n1.0,abc\n", "{path}: non-numeric value 'abc' at line 2, column 'y'"),
+        ("curves", CURVE_HEADER + "random,ols,v,abc,rmse,0.3,0.0,2\n",
+         "{path}: non-numeric value 'abc' at line 2, column 'K'"),
+        ("data", "x,y\n1.0,-inf\n", "{path}: non-finite value at line 2, column 'y'"),
+        ("curves", CURVE_HEADER + "random,ols,v,5,rmse,inf,0.0,2\n",
+         "{path}: non-finite value at line 2, column 'mean'"),
+        ("data", 'x,y\n1.0,"' + "9" * 200_000 + '"\n', "{path}: line 2: field larger than field limit (131072)"),
+        ("curves", CURVE_HEADER + '"' + "x" * 200_000 + '",ols,v,5,rmse,0.3,0.0,2\n',
+         "{path}: line 2: field larger than field limit (131072)"),
+    ])
+    def test_shared_rule_gives_one_message(self, tmp_path, capsys, reader, text, message):
+        path, out = tmp_path / "table.csv", tmp_path / "out.csv"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code = main(self._argv(reader, path, out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message.format(path=path)}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("reader", ["data", "curves"])
+    def test_padded_header_reads_like_the_unpadded_table(self, tmp_path, reader):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        if reader == "data":
+            assert main(["synth", "--n", "40", "--d", "2", "--p", "1", "--seed", "1", "--out", str(plain)]) == 0
+        else:
+            _write_curve_csv(plain, "random", {"rmse": {5: 0.3}, "cc": {5: 0.5}}, {"bl2_rmse": 0.2})
+        header, *rows = plain.read_text(encoding="utf-8").splitlines(keepends=True)
+        padded.write_text(",".join(f" {name} " for name in header.strip().split(",")) + "\n" + "".join(rows),
+                          encoding="utf-8")
+        for path in (plain, padded):
+            assert main(self._argv(reader, path, tmp_path / f"{path.stem}.out.csv")) == 0
+        assert (tmp_path / "padded.out.csv").read_bytes() == (tmp_path / "plain.out.csv").read_bytes()
 
 
 def _two_curve_files(tmp_path):

@@ -49,6 +49,12 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="gender"):
             load_csv(_write(tmp_path, CSV_3x5), task_count=3, group_column="gender")
 
+    def test_repeated_group_column_rejected(self, tmp_path):
+        path = _write(tmp_path, "f1,g,g,v\n1.0,m,f,0.1\n2.0,f,m,0.2\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, task_count=1, group_column="g")
+        assert str(exc.value) == f"{path}: group column 'g' must appear once in header ['f1', 'g', 'g', 'v']"
+
     def test_group_column_parsed(self, tmp_path):
         text = "f1,gender,v\n1.0,m,0.1\n2.0,f,0.2\n"
         data = load_csv(_write(tmp_path, text), task_count=1, group_column="gender")
@@ -188,6 +194,15 @@ class TestNormalize:
         params.save(path)
         assert json.loads(path.read_text(encoding="utf-8")) == payload
 
+    def test_params_rules(self):
+        with pytest.raises(ValueError, match="feature_names, means, and stds must have equal length"):
+            NormalizationParams(("a",), [0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="recorded stds must be positive"):
+            NormalizationParams(("a",), [0.0], [0.0])
+        data = Dataset([[1.0], [3.0]], [[0.0], [0.0]], ("x",), ("y",))
+        with pytest.raises(ValueError, match="normalization parameters were recorded for different feature columns"):
+            apply_normalization(data, NormalizationParams(("z",), [0.0], [1.0]))
+
 
 class TestSplit:
     def test_947_sample_sizes(self):
@@ -221,6 +236,12 @@ class TestSplit:
         data = gen_synthetic(3, 1, 1, 0.0, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
             split_train_test(data, SplitConfig(0.01, seed=0))
+
+    def test_rejects_bad_config(self):
+        with pytest.raises(ValueError, match=r"train_fraction must be in \(0, 1\), got 1.0"):
+            SplitConfig(1.0, seed=0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SplitConfig(0.5, seed=-1)
 
 
 class TestSynthetic:
@@ -262,6 +283,16 @@ class TestSynthetic:
 
 
 class TestDatasetInvariants:
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match=r"features must be a 2-D array, got shape \(2,\)"):
+            Dataset([1.0, 2.0], [[1.0], [2.0]], ("x",), ("y",))
+        with pytest.raises(ValueError, match="need at least 1 sample and 1 feature, got 0 x 1"):
+            Dataset(np.empty((0, 1)), np.empty((0, 1)), ("x",), ("y",))
+        with pytest.raises(ValueError, match="labels have 1 rows but features have 2"):
+            Dataset([[1.0], [2.0]], [[1.0]], ("x",), ("y",))
+        with pytest.raises(ValueError, match="need at least 1 task column"):
+            Dataset([[1.0]], np.empty((1, 0)), ("x",), ())
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset([[np.inf]], [[1.0]], ("x",), ("y",))

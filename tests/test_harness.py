@@ -651,6 +651,11 @@ class TestSavedQueries:
             n_runs=4,
         )
 
+    def test_unknown_measure_rejected(self):
+        curve = self._curve("gsx", (5, 6), {"y": [1.0, 0.6]}, {"y": 0.5})
+        with pytest.raises(ValueError, match="measure must be 'rmse' or 'cc'"):
+            saved_queries(curve, curve, alpha=10, measure="mae")
+
     def test_identical_curves_save_nothing(self):
         curve = self._curve("gsx", (5, 6, 7, 8), {"y": [1.0, 0.6, 0.5, 0.4]}, {"y": 0.5})
         assert saved_queries(curve, curve, alpha=10, measure="rmse") == {"y": (7, 7)}
@@ -889,6 +894,28 @@ class TestCurveSerialization:
         with pytest.raises(ValueError, match="header"):
             read_curves_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("random,ols,v,5,rmse,inf,0.0,2", "non-finite value at line 2, column 'mean'"),
+        ("random,ols,v,5,rmse,0.3,-inf,2", "non-finite value at line 2, column 'std'"),
+        ("random,ols,v,5,rmse,nan,inf,2", "non-finite value at line 2, column 'std'"),
+        ("random,ols,v,abc,rmse,0.3,0.0,2", "non-numeric value 'abc' at line 2, column 'K'"),
+        ("random,ols,v,1.5,rmse,0.3,0.0,2", "non-integer value at line 2, column 'K'"),
+        ("random,ols,v,5,rmse,0.3,0.0,nan", "non-integer value at line 2, column 'n_runs'"),
+    ])
+    def test_cell_rules(self, tmp_path, row, message):
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_HEADER) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_curves_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_nan_cells_and_padded_text_read(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(",".join(CURVE_CSV_HEADER) + "\n random , ols,v,5,cc,nan,nan,0\n", encoding="utf-8")
+        (curve,) = read_curves_csv(path)
+        assert (curve.strategy, curve.solver, curve.task_names, curve.ks) == ("random", "ols", ("v",), (5,))
+        assert all(math.isnan(v) for v in _cell(curve, "cc", "v", 5)[:2]) and curve.n_runs == 0
+
 
 class TestConfigValidation:
     def test_rejects_bad_runs(self):
@@ -902,3 +929,7 @@ class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             _cfg(seed=-1)
+
+    def test_rejects_k_max_below_one(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1 when set"):
+            _cfg(k_max=0)

@@ -622,6 +622,18 @@ class TestValidation:
                 with pytest.raises(ValueError, match=f"{kind} takes no tol or max_iters"):
                     SolverConfig(kind, **fields)
 
+    def test_more_bad_inputs_rejected(self):
+        with pytest.raises(ValueError, match="lambda_over_k must be one of"):
+            SolverConfig("ridge", lambda_over_k="k")
+        with pytest.raises(ValueError, match="lasso max_iters must be >= 1"):
+            SolverConfig("lasso", cd_max_iters=0)
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            LinearModel([math.inf], 0.0)
+        with pytest.raises(ValueError, match="budget-scaled lambda needs budget >= 1"):
+            resolve_lambda(parse_solver("ridge:lambda=5/kmax"), budget=0)
+        with pytest.raises(ValueError, match="need at least one training row"):
+            fit(np.empty((0, 2)), np.empty(0), SolverConfig("ols"))
+
 
 # floats of every magnitude, and ones whose shortest repr takes all 17 significant digits
 _SEVENTEEN_DIGITS = st.builds(

@@ -691,6 +691,15 @@ class TestPoolStateInvariants:
         with pytest.raises(ValueError):
             state.add(5)
 
+    def test_select_rejects_a_fully_labeled_pool(self):
+        state = make_state([[0.0], [1.0]], [[0.0]] * 2, labeled=[0, 1])
+        with pytest.raises(ValueError, match="no unlabeled samples left"):
+            select_next(state, StrategySpec("random"))
+
+    def test_spec_rejects_a_negative_focus_task(self):
+        with pytest.raises(ValueError, match="focus_task must be a nonnegative task index"):
+            StrategySpec("gsy", focus_task=-1)
+
     def test_default_k0_is_feature_count(self):
         state = make_state(np.zeros((5, 3)), np.zeros((5, 1)))
         assert state.k0 == 3
